@@ -20,7 +20,7 @@
 //! 256×256 tensor; the repeated read is a 4-row full-width band — an
 //! address-interval query, so SORTED_COO's address-ordered slots give
 //! each fragment one contiguous value run. The pipeline configs pin
-//! `read_parallelism` to the fragment count: per-fragment reads are
+//! `threads` to the fragment count: per-fragment reads are
 //! latency-bound on the simulated device, so workers beyond the core
 //! count still overlap usefully (they block in I/O, not on the CPU).
 //! Besides wall time, the bench prints the simulated disk's transferred
@@ -143,25 +143,22 @@ fn bench_read_pipeline(c: &mut Criterion) {
         (
             "legacy-fetch",
             EngineConfig::default()
-                .with_read_parallelism(1)
+                .with_threads(1)
                 .with_range_fetch(false),
         ),
-        (
-            "pipeline",
-            EngineConfig::default().with_read_parallelism(FRAGMENTS),
-        ),
+        ("pipeline", EngineConfig::default().with_threads(FRAGMENTS)),
         // `pipeline` with full telemetry recording: CI tracks both so the
         // disabled path stays free and the enabled overhead stays visible.
         (
             "pipeline-telemetry",
             EngineConfig::default()
-                .with_read_parallelism(FRAGMENTS)
+                .with_threads(FRAGMENTS)
                 .with_telemetry(true),
         ),
         (
             "cached",
             EngineConfig::default()
-                .with_read_parallelism(FRAGMENTS)
+                .with_threads(FRAGMENTS)
                 .with_cache_capacity(64 << 20),
         ),
     ];

@@ -71,11 +71,10 @@ pub struct Config {
     /// (`telemetry-<format>-<pattern>-<ndim>D.json`). Setting it implies
     /// `telemetry`.
     pub telemetry_out: Option<PathBuf>,
-    /// Compute threads for format builds and batched reads (`--threads`):
-    /// `0` (the default) uses the host's available parallelism, `1`
-    /// forces the sequential reference path. An explicit value also pins
-    /// the engine's per-fragment read parallelism so `--threads 1` is
-    /// fully sequential end to end.
+    /// Worker threads for every engine fan-out (`--threads`): format
+    /// builds, batched reads and per-fragment reads. `0` (the default)
+    /// uses the host's available parallelism, `1` is fully sequential
+    /// end to end.
     pub threads: usize,
     /// Enable live adaptive re-organization (`--adaptive`): consolidation
     /// characterizes the merged region, consults the advisor under
@@ -161,9 +160,6 @@ impl Config {
             .with_commit_mode(self.commit_mode())
             .with_telemetry(self.telemetry_enabled())
             .with_threads(self.threads);
-        if self.threads > 0 {
-            ec = ec.with_read_parallelism(self.threads);
-        }
         if self.adaptive {
             ec = ec
                 .with_adaptive_reorg(artsparse_storage::AdaptiveReorg::with_profile(self.profile));

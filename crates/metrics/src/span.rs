@@ -14,10 +14,12 @@
 //!   is the *innermost* open span on its thread; nothing propagates to
 //!   parents. Summing any one span kind therefore never double-counts,
 //!   and the sum over *all* kinds equals the global total.
-//! * **Per-thread stacks.** Worker threads (`std::thread::scope` fragment
-//!   readers) open spans on their own stacks at depth 0; the recorder is
-//!   the only cross-thread rendezvous. Nesting depth is informational,
-//!   not a tree encoding.
+//! * **Per-thread stacks.** Every thread charges its own stack; the
+//!   recorder is the only cross-thread rendezvous. A fan-out worker runs
+//!   its share under a [`TraceContext`] captured on the calling thread
+//!   (see *Trace correlation*), so what it charges lands in the caller's
+//!   frame at join instead of being dropped. Nesting depth is
+//!   informational, not a tree encoding.
 //!
 //! When the recorder is disabled, [`Span::enter`] returns an inert guard
 //! and [`charge`] finds an empty stack: the whole layer reduces to one
@@ -30,11 +32,18 @@
 //! it is live inherit it. One `engine.ingest` or `engine.consolidate`
 //! call therefore stamps its whole span tree — WAL append, flush, commit,
 //! advise, convert — with a single id, which the event journal uses to
-//! correlate events back to the operation that caused them. Spans opened
-//! on *other* threads (fan-out workers) start traces of their own: the
-//! stack, and with it the trace, is strictly per-thread.
+//! correlate events back to the operation that caused them.
 //! [`current_trace_id`] exposes the live id (0 when no span is open) so
 //! synthesized records and journal events can join the trace.
+//!
+//! A bare spawned thread starts with an empty stack, so its spans start
+//! traces of their own. Fan-out code that wants its workers inside the
+//! caller's trace captures a [`TraceContext`] before the fan-out and runs
+//! each piece of work under [`TraceContext::adopt`]: the worker gets the
+//! caller's trace id and a fresh frame for its self-IO. `adopt` hands
+//! that frame back, and the caller merges it into its own innermost
+//! frame at join (the storage crate's `par_map_traced` does exactly this
+//! around `par::par_map`).
 
 use crate::recorder::Recorder;
 use serde::{Serialize, Value};
@@ -287,7 +296,8 @@ pub struct SpanRecord {
     pub start_ns: u64,
     /// Wall-clock duration in nanoseconds.
     pub dur_ns: u64,
-    /// Nesting depth on the recording thread (0 = outermost there).
+    /// Nesting depth on the recording thread (0 = outermost there; spans
+    /// under an adopted [`TraceContext`] start at 1, below its frame).
     pub depth: u32,
     /// I/O charged while this span was innermost on its thread.
     pub io: IoStats,
@@ -332,6 +342,50 @@ pub fn charge(f: impl FnOnce(&mut IoStats)) {
     });
 }
 
+/// The calling thread's live trace, captured so fan-out workers can join
+/// it. See the module docs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceContext {
+    /// 0 when no span was open (telemetry off): [`TraceContext::adopt`]
+    /// is then a plain call.
+    trace_id: u64,
+}
+
+impl TraceContext {
+    /// Snapshot this thread's live trace.
+    pub fn capture() -> TraceContext {
+        TraceContext {
+            trace_id: current_trace_id(),
+        }
+    }
+
+    /// Run `f` inside the captured trace, on any thread (the capturing
+    /// one included): spans `f` opens carry the captured trace id, and
+    /// whatever `f` charges outside them collects in a fresh frame that
+    /// is returned for the caller to merge into its own. This thread's
+    /// previous span state is restored afterwards, also on unwind.
+    pub fn adopt<R>(self, f: impl FnOnce() -> R) -> (R, IoStats) {
+        if self.trace_id == 0 {
+            return (f(), IoStats::default());
+        }
+        // This thread's own stack and trace id, put back on exit.
+        struct Restore(Vec<IoStats>, u64);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                STACK.with(|stack| *stack.borrow_mut() = std::mem::take(&mut self.0));
+                TRACE.with(|t| t.set(self.1));
+            }
+        }
+        let _restore = Restore(
+            STACK.with(|stack| stack.replace(vec![IoStats::default()])),
+            TRACE.with(|t| t.replace(self.trace_id)),
+        );
+        let out = f();
+        let io = STACK.with(|stack| stack.borrow().first().copied().unwrap_or_default());
+        (out, io)
+    }
+}
+
 /// RAII guard for one traced operation. See the module docs.
 #[must_use = "a span measures the scope it is alive for"]
 pub struct Span {
@@ -361,7 +415,8 @@ impl Span {
             (s.len() - 1) as u32
         });
         // The outermost span of the operation mints the trace id; nested
-        // spans on the same thread join it.
+        // spans on the same thread join it (as do spans under an adopted
+        // context, whose stack already holds the worker frame).
         let trace_id = if depth == 0 {
             let id = NEXT_TRACE.fetch_add(1, Ordering::Relaxed);
             TRACE.with(|t| t.set(id));
@@ -571,6 +626,76 @@ mod tests {
             .find(|e| e.kind == SpanKind::ReadFetch)
             .unwrap();
         assert_ne!(read.trace_id, fetch.trace_id);
+    }
+
+    #[test]
+    fn adopted_context_charges_reach_the_callers_frame() {
+        let (t, r) = telemetry();
+        {
+            let _outer = Span::enter(&r, SpanKind::Read);
+            let main_trace = current_trace_id();
+            let ctx = TraceContext::capture();
+            let frames: Vec<IoStats> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..4)
+                    .map(|_| {
+                        let r = &r;
+                        s.spawn(move || {
+                            let ((), io) = ctx.adopt(|| {
+                                assert_eq!(current_trace_id(), main_trace);
+                                // Outside any worker span: the fresh frame.
+                                charge(|io| io.fragments_quarantined += 1);
+                                let _fetch = Span::enter(r, SpanKind::ReadFetch);
+                                charge(|io| io.bytes_fetched += 1000);
+                            });
+                            assert_eq!(current_trace_id(), 0, "worker state restored");
+                            io
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            // The capturing thread itself can run work under the context.
+            let ((), own) = ctx.adopt(|| charge(|io| io.fragments_quarantined += 1));
+            assert_eq!(current_trace_id(), main_trace, "caller state restored");
+            charge(|frame| {
+                for io in frames.iter().chain([&own]) {
+                    frame.merge(io);
+                }
+            });
+        }
+        let report = t.report();
+        let read = report.span(SpanKind::Read).unwrap();
+        assert_eq!(read.io.fragments_quarantined, 5);
+        assert_eq!(read.io.bytes_fetched, 0, "span self-IO stays with the span");
+        assert_eq!(
+            report.span(SpanKind::ReadFetch).unwrap().io.bytes_fetched,
+            4000
+        );
+        assert_eq!(report.totals.fragments_quarantined, 5);
+        let read_event = report
+            .events
+            .iter()
+            .find(|e| e.kind == SpanKind::Read)
+            .unwrap();
+        for e in report
+            .events
+            .iter()
+            .filter(|e| e.kind == SpanKind::ReadFetch)
+        {
+            assert_eq!(e.trace_id, read_event.trace_id);
+            assert_eq!(e.depth, 1, "one below the adopted frame");
+        }
+    }
+
+    #[test]
+    fn adopting_an_empty_context_is_a_plain_call() {
+        let ctx = TraceContext::capture();
+        let (out, io) = ctx.adopt(|| {
+            charge(|io| io.bytes_fetched += 1);
+            current_trace_id()
+        });
+        assert_eq!(out, 0);
+        assert!(io.is_empty());
     }
 
     #[test]

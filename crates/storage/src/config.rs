@@ -396,10 +396,6 @@ pub struct EngineConfig {
     /// from the device, which keeps transferred-byte accounting exact
     /// for the I/O experiments. Enable it for repeat-read workloads.
     pub cache_capacity_bytes: usize,
-    /// Worker threads for per-fragment fetch → decode → read execution.
-    /// Zero (the default) uses the host's available parallelism; one
-    /// forces the sequential reference path.
-    pub read_parallelism: usize,
     /// Fetch fragment sections (index first, then only the value records
     /// the query matched) instead of whole blobs. On by default; turn it
     /// off to reproduce the legacy whole-fragment fetch, e.g. as a
@@ -415,17 +411,16 @@ pub struct EngineConfig {
     /// When on, `StorageEngine::telemetry_report()` snapshots the
     /// aggregated report for export.
     pub telemetry: bool,
-    /// Worker threads for compute-parallel format work: the chunked
+    /// Worker threads for every parallel operation the engine runs: the
+    /// per-fragment fetch → decode → read fan-out of READ, the chunked
     /// lexicographic sorts inside sorting builds and the sharded batched
-    /// point-query scans. Zero (the default) uses the host's available
-    /// parallelism; one forces the sequential reference path. Independent
-    /// of [`read_parallelism`], which governs per-*fragment* pipeline
-    /// concurrency.
-    ///
-    /// [`read_parallelism`]: EngineConfig::read_parallelism
+    /// point-query scans (the calling thread counts as one). Zero (the
+    /// default) uses the host's available parallelism; one forces the
+    /// sequential reference path.
     pub threads: usize,
     /// Minimum element count (points to sort, queries to execute) before
-    /// format work fans out across [`threads`]. Below this the sequential
+    /// format work fans out across [`threads`]. The per-fragment read
+    /// fan-out ignores it: two fragments already pay for a worker. Below this the sequential
     /// path always runs — parallelism never pays for tiny inputs. The
     /// default is [`artsparse_tensor::par::DEFAULT_CUTOFF`].
     ///
@@ -469,7 +464,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             cache_capacity_bytes: 0,
-            read_parallelism: 0,
             range_fetch: true,
             commit_mode: CommitMode::Staged,
             telemetry: false,
@@ -487,26 +481,9 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The number of worker threads the read executor will actually use.
-    pub fn effective_parallelism(&self) -> usize {
-        if self.read_parallelism > 0 {
-            self.read_parallelism
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
-    }
-
     /// Builder-style cache budget.
     pub fn with_cache_capacity(mut self, bytes: usize) -> Self {
         self.cache_capacity_bytes = bytes;
-        self
-    }
-
-    /// Builder-style parallelism override.
-    pub fn with_read_parallelism(mut self, threads: usize) -> Self {
-        self.read_parallelism = threads;
         self
     }
 
@@ -603,7 +580,6 @@ mod tests {
     fn defaults_and_builders() {
         let c = EngineConfig::default();
         assert_eq!(c.cache_capacity_bytes, 0);
-        assert_eq!(c.read_parallelism, 0);
         assert!(c.range_fetch);
         assert_eq!(c.commit_mode, CommitMode::Staged);
         assert!(!c.telemetry);
@@ -619,11 +595,9 @@ mod tests {
         assert_eq!(c.ingest, IngestConfig::default());
         assert!(c.ingest.wal);
         assert_eq!(c.ingest.flush_points, 4096);
-        assert!(c.effective_parallelism() >= 1);
 
         let c = EngineConfig::default()
             .with_cache_capacity(1 << 20)
-            .with_read_parallelism(2)
             .with_range_fetch(false)
             .with_commit_mode(CommitMode::Direct)
             .with_telemetry(true)
@@ -638,7 +612,6 @@ mod tests {
             })
             .with_strict_reads(false);
         assert_eq!(c.cache_capacity_bytes, 1 << 20);
-        assert_eq!(c.effective_parallelism(), 2);
         assert!(!c.range_fetch);
         assert_eq!(c.commit_mode, CommitMode::Direct);
         assert!(c.telemetry);

@@ -37,7 +37,7 @@ use crate::fragment::{
     decode_fragment, decode_index_section, decode_meta, decode_value_section, encode_fragment,
     verify_section_checksum, FragmentMeta,
 };
-use crate::observe::RecordingBackend;
+use crate::observe::{par_map_traced, RecordingBackend};
 use artsparse_core::advisor::recommend_from_stats;
 use artsparse_core::stats::SparsityStatsBuilder;
 use artsparse_core::{convert, FormatKind};
@@ -50,7 +50,7 @@ use artsparse_tensor::par;
 use artsparse_tensor::value::Element;
 use artsparse_tensor::{CoordBuffer, Region, Shape};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Prefix + suffix of fragment blob names.
@@ -1786,45 +1786,23 @@ impl<B: StorageBackend> StorageEngine<B> {
         self.read(&region.to_coords())
     }
 
-    /// Run `read_fragment` over the planned fragments, spreading them
-    /// across worker threads, and return each fragment's outcome in plan
-    /// (write) order. Errors surface deterministically: the first failed
-    /// fragment in plan order wins regardless of thread timing.
+    /// Run `read_fragment` over the planned fragments on the shared
+    /// parallel executor (`EngineConfig::threads` wide), and return each
+    /// fragment's outcome in plan (write) order. Errors surface
+    /// deterministically: the first failed fragment in plan order wins
+    /// regardless of thread timing.
     fn execute_plan(
         &self,
         fragments: &[Arc<CatalogEntry>],
         queries: &CoordBuffer,
     ) -> Result<Vec<FragmentOutcome>> {
-        let threads = self
-            .config
-            .effective_parallelism()
-            .min(fragments.len())
-            .max(1);
-        if threads == 1 {
-            return fragments
-                .iter()
-                .map(|entry| self.read_fragment_or_skip(entry, queries))
-                .collect();
-        }
-        // Per-fragment result slot: None until its worker fills it.
-        type Slot = parking_lot::Mutex<Option<Result<FragmentOutcome>>>;
-        let next = AtomicUsize::new(0);
-        let outputs: Vec<Slot> = (0..fragments.len())
-            .map(|_| parking_lot::Mutex::new(None))
-            .collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(entry) = fragments.get(i) else { break };
-                    *outputs[i].lock() = Some(self.read_fragment_or_skip(entry, queries));
-                });
-            }
-        });
-        outputs
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every fragment slot is filled"))
-            .collect()
+        // Each item is a whole fragment read: two already pay for a worker.
+        let p = par::Parallelism::with_threads(self.config.threads).with_cutoff(2);
+        par_map_traced(fragments.len(), p, |i| {
+            self.read_fragment_or_skip(&fragments[i], queries)
+        })
+        .into_iter()
+        .collect()
     }
 
     /// [`Self::read_fragment`], downgrading two kinds of failure:
@@ -3958,7 +3936,7 @@ mod tests {
             shape,
             8,
             EngineConfig::default()
-                .with_read_parallelism(1)
+                .with_threads(1)
                 .with_range_fetch(false),
         )
         .unwrap();

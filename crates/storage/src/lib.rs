@@ -16,7 +16,7 @@
 //! * [`cache`] — a bytes-bounded LRU of decoded fragments for
 //!   repeat-read workloads;
 //! * [`config`] — tuning knobs for the read pipeline (cache budget,
-//!   per-fragment parallelism, range fetch), the compute-parallel layer
+//!   range fetch), the one parallel width every fan-out runs at
 //!   (`threads`, `parallel_cutoff` — DESIGN.md §12), and the fragment
 //!   commit protocol;
 //! * [`engine`] — Algorithm 3's WRITE (with the Table III phase

@@ -8,10 +8,14 @@
 //! without per-call-site changes. With the default
 //! [`NoopRecorder`](artsparse_metrics::NoopRecorder) the wrapper is a
 //! cached-bool check plus a direct delegate — effectively free.
+//!
+//! `par_map_traced` is the storage layer's fan-out: `par::par_map`
+//! whose workers stay inside the calling thread's trace.
 
 use crate::backend::StorageBackend;
 use crate::error::Result;
-use artsparse_metrics::{charge, Recorder};
+use artsparse_metrics::{charge, IoStats, Recorder, TraceContext};
+use artsparse_tensor::par::{self, Parallelism};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -189,6 +193,23 @@ impl<B: StorageBackend> StorageBackend for RecordingBackend<B> {
     fn exists(&self, name: &str) -> bool {
         self.inner.exists(name)
     }
+}
+
+/// [`par::par_map`] run inside the calling thread's trace: spans the
+/// workers open carry its trace id, and what they charge outside those
+/// spans is merged into its innermost frame at join, so no counter is
+/// dropped because a worker did the work.
+pub(crate) fn par_map_traced<R: Send>(
+    n: usize,
+    p: Parallelism,
+    f: impl Fn(usize) -> R + Sync,
+) -> Vec<R> {
+    let ctx = TraceContext::capture();
+    let (out, frames): (Vec<R>, Vec<IoStats>) = par::par_map(n, p, |i| ctx.adopt(|| f(i)))
+        .into_iter()
+        .unzip();
+    charge(|frame| frames.iter().for_each(|io| frame.merge(io)));
+    out
 }
 
 #[cfg(test)]

@@ -3,14 +3,17 @@
 //! Lustre stripes each file across object storage targets (OSTs) so one
 //! client's write streams to several devices at once. [`StripedBackend`]
 //! reproduces that: a blob is cut into `stripe_size` chunks dealt
-//! round-robin over N inner devices, and per-device transfers run on
-//! their own OS threads — so device time (e.g. [`SimulatedDisk`] sleeps)
-//! overlaps exactly like parallel OST traffic, independent of CPU count.
+//! round-robin over N inner devices, and per-device transfers run on the
+//! shared parallel executor one device per worker — so device time (e.g.
+//! [`SimulatedDisk`] sleeps) overlaps exactly like parallel OST traffic,
+//! independent of CPU count.
 //!
 //! [`SimulatedDisk`]: crate::backend::SimulatedDisk
 
 use crate::backend::StorageBackend;
 use crate::error::{Result, StorageError};
+use crate::observe::par_map_traced;
+use artsparse_tensor::par::Parallelism;
 
 /// A blob store striped over several inner devices.
 pub struct StripedBackend<B> {
@@ -39,6 +42,26 @@ impl<B: StorageBackend> StripedBackend<B> {
         &self.devices
     }
 
+    /// Run `f` once per device with one worker per device, so device
+    /// time overlaps, and return the results in device order.
+    fn per_device<R: Send>(&self, f: impl Fn(usize, &B) -> R + Sync) -> Vec<R> {
+        let n = self.devices.len();
+        let p = Parallelism::with_threads(n).with_cutoff(2);
+        par_map_traced(n, p, |d| f(d, &self.devices[d]))
+    }
+
+    /// Cut `data` into each device's part (its chunks, concatenated).
+    fn parts(&self, data: &[u8]) -> Vec<Vec<u8>> {
+        let n = self.devices.len();
+        let mut parts: Vec<Vec<u8>> = (0..n)
+            .map(|d| Vec::with_capacity(self.part_len(data.len(), d)))
+            .collect();
+        for (j, chunk) in data.chunks(self.stripe_size).enumerate() {
+            parts[j % n].extend_from_slice(chunk);
+        }
+        parts
+    }
+
     /// How many bytes of a `total`-byte blob land on device `d`.
     fn part_len(&self, total: usize, d: usize) -> usize {
         let s = self.stripe_size;
@@ -61,72 +84,27 @@ impl<B: StorageBackend> StorageBackend for StripedBackend<B> {
     }
 
     fn put(&self, name: &str, data: &[u8]) -> Result<()> {
-        let n = self.devices.len();
-        let s = self.stripe_size;
-        // Assemble each device's part (its chunks, concatenated).
-        let mut parts: Vec<Vec<u8>> = (0..n)
-            .map(|d| Vec::with_capacity(self.part_len(data.len(), d)))
-            .collect();
-        for (j, chunk) in data.chunks(s).enumerate() {
-            parts[j % n].extend_from_slice(chunk);
-        }
-        // One OS thread per device: device time overlaps like real OSTs.
-        let results: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .devices
-                .iter()
-                .zip(&parts)
-                .map(|(dev, part)| scope.spawn(move || dev.put(name, part)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stripe writer panicked"))
-                .collect()
-        });
-        results.into_iter().collect::<Result<Vec<()>>>()?;
-        Ok(())
+        let parts = self.parts(data);
+        self.per_device(|d, dev| dev.put(name, &parts[d]))
+            .into_iter()
+            .collect()
     }
 
     fn put_atomic(&self, name: &str, data: &[u8]) -> Result<()> {
         // Atomic per device: each OST flips its part in one step. The
         // cross-device cut-over is not atomic — the engine's staged
         // commit (temp name + rename) provides the store-level guarantee.
-        let n = self.devices.len();
-        let s = self.stripe_size;
-        let mut parts: Vec<Vec<u8>> = (0..n)
-            .map(|d| Vec::with_capacity(self.part_len(data.len(), d)))
-            .collect();
-        for (j, chunk) in data.chunks(s).enumerate() {
-            parts[j % n].extend_from_slice(chunk);
-        }
-        let results: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .devices
-                .iter()
-                .zip(&parts)
-                .map(|(dev, part)| scope.spawn(move || dev.put_atomic(name, part)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stripe writer panicked"))
-                .collect()
-        });
-        results.into_iter().collect::<Result<Vec<()>>>()?;
-        Ok(())
+        let parts = self.parts(data);
+        self.per_device(|d, dev| dev.put_atomic(name, &parts[d]))
+            .into_iter()
+            .collect()
     }
 
     fn put_exclusive(&self, name: &str, data: &[u8]) -> Result<()> {
         // Device 0 arbitrates the claim: its exclusive create either wins
         // the name for the whole stripe set or rejects the put before any
         // other device is touched.
-        let n = self.devices.len();
-        let s = self.stripe_size;
-        let mut parts: Vec<Vec<u8>> = (0..n)
-            .map(|d| Vec::with_capacity(self.part_len(data.len(), d)))
-            .collect();
-        for (j, chunk) in data.chunks(s).enumerate() {
-            parts[j % n].extend_from_slice(chunk);
-        }
+        let parts = self.parts(data);
         self.devices[0].put_exclusive(name, &parts[0])?;
         for (dev, part) in self.devices.iter().zip(&parts).skip(1) {
             dev.put_atomic(name, part)?;
@@ -147,18 +125,10 @@ impl<B: StorageBackend> StorageBackend for StripedBackend<B> {
     fn get(&self, name: &str) -> Result<Vec<u8>> {
         let n = self.devices.len();
         let s = self.stripe_size;
-        let parts: Vec<Result<Vec<u8>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .devices
-                .iter()
-                .map(|dev| scope.spawn(move || dev.get(name)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stripe reader panicked"))
-                .collect()
-        });
-        let parts: Vec<Vec<u8>> = parts.into_iter().collect::<Result<_>>()?;
+        let parts: Vec<Vec<u8>> = self
+            .per_device(|_, dev| dev.get(name))
+            .into_iter()
+            .collect::<Result<_>>()?;
         let total: usize = parts.iter().map(Vec::len).sum();
         // Validate the parts form a consistent striping of `total` bytes.
         for (d, part) in parts.iter().enumerate() {
@@ -192,27 +162,13 @@ impl<B: StorageBackend> StorageBackend for StripedBackend<B> {
         for j in 0..chunks_needed {
             per_dev[j % n] += s;
         }
-        let parts: Vec<Result<Vec<u8>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .devices
-                .iter()
-                .zip(per_dev.iter())
-                .map(|(dev, &want)| {
-                    scope.spawn(move || {
-                        if want == 0 {
-                            Ok(Vec::new())
-                        } else {
-                            dev.get_prefix(name, want)
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stripe reader panicked"))
-                .collect()
-        });
-        let parts: Vec<Vec<u8>> = parts.into_iter().collect::<Result<_>>()?;
+        let parts: Vec<Vec<u8>> = self
+            .per_device(|d, dev| match per_dev[d] {
+                0 => Ok(Vec::new()),
+                want => dev.get_prefix(name, want),
+            })
+            .into_iter()
+            .collect::<Result<_>>()?;
         let mut out = Vec::with_capacity(len);
         let mut offsets = vec![0usize; n];
         let mut j = 0usize;
@@ -254,24 +210,13 @@ impl<B: StorageBackend> StorageBackend for StripedBackend<B> {
             let local_end = (jmax / n) * s + s;
             *window = Some((jmin, local_start, local_end - local_start));
         }
-        let parts: Vec<Result<Vec<u8>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .devices
-                .iter()
-                .zip(windows.iter())
-                .map(|(dev, window)| {
-                    scope.spawn(move || match *window {
-                        None => Ok(Vec::new()),
-                        Some((_, lo, want)) => dev.get_range(name, lo as u64, want),
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stripe reader panicked"))
-                .collect()
-        });
-        let parts: Vec<Vec<u8>> = parts.into_iter().collect::<Result<_>>()?;
+        let parts: Vec<Vec<u8>> = self
+            .per_device(|d, dev| match windows[d] {
+                None => Ok(Vec::new()),
+                Some((_, lo, want)) => dev.get_range(name, lo as u64, want),
+            })
+            .into_iter()
+            .collect::<Result<_>>()?;
         // Reassemble the covered chunks in global order; a short or missing
         // chunk means the blob ends inside the window.
         let mut out = Vec::with_capacity((j1 - j0 + 1) * s);

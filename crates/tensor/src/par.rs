@@ -1,12 +1,16 @@
 //! Dependency-free scoped parallel execution layer.
 //!
-//! Every compute-parallel path in the workspace — the chunked
-//! lexicographic sorts feeding the GCSR++/GCSC++/CSF builds (Algorithms
-//! 1–2, §II.C–E) and batched point-query execution across all five
-//! organizations — runs through this module. It deliberately uses only
-//! `std::thread::scope` (the same pattern as the storage engine's
-//! per-fragment read executor) so the workspace stays free of a
-//! work-stealing runtime dependency.
+//! Every parallel path in the workspace runs through this module: the
+//! chunked lexicographic sorts feeding the GCSR++/GCSC++/CSF builds
+//! (Algorithms 1–2, §II.C–E), batched point-query execution across all
+//! five organizations, the storage engine's per-fragment reads
+//! (Algorithm 3 READ) and the striped backend's per-device transfers. It
+//! deliberately uses only `std::thread::scope` so the workspace stays
+//! free of a work-stealing runtime dependency. Each parallel operation
+//! runs the calling thread plus `threads - 1` spawned workers, which
+//! claim contiguous chunks of the input from a shared atomic cursor, so
+//! items of uneven cost (a 32k-point fragment next to a 1k-point one)
+//! still balance.
 //!
 //! # Configuration
 //!
@@ -26,8 +30,9 @@
 //!
 //! Parallel and sequential execution produce **identical results**:
 //!
-//! * [`par_map`] shards `0..n` into contiguous ranges and concatenates
-//!   shard outputs in shard order, which is exactly input order;
+//! * [`par_map`] splits `0..n` into contiguous chunks and concatenates
+//!   chunk outputs in chunk order, which is exactly input order, however
+//!   the workers claimed them;
 //! * [`sort_indices_by`] requires a *total* order (all callers append an
 //!   index tie-break) — chunked `sort_unstable` plus a stable k-way
 //!   merge then yields the one and only sorted permutation, independent
@@ -266,14 +271,15 @@ fn split_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Run `worker` over contiguous shards of `0..n`, returning the shard
-/// results in shard (= input) order.
+/// Run `worker` over contiguous chunks of `0..n`, returning the chunk
+/// results in chunk (= input) order.
 ///
 /// With `p.threads == 1`, or fewer than `p.cutoff` items, the whole
-/// range runs as one shard on the calling thread and **no thread is
+/// range runs as one chunk on the calling thread and **no thread is
 /// spawned** — the overhead over a plain call is two atomic loads and
-/// one increment. Otherwise `min(threads, n)` shards run under
-/// [`std::thread::scope`], one on the calling thread.
+/// one increment. Otherwise `min(threads, n)` workers (the calling
+/// thread plus spawned ones) claim `min(n, 4 × workers)` chunks from a
+/// shared cursor, so uneven items balance across workers.
 pub fn run_shards<T, F>(n: usize, p: Parallelism, worker: F) -> Vec<T>
 where
     T: Send,
@@ -283,65 +289,80 @@ where
         SEQUENTIAL_OPS.fetch_add(1, AtomicOrdering::Relaxed);
         return vec![worker(0..n)];
     }
-    run_shards_wide(n, p.effective_threads().min(n), &worker)
+    let workers = p.effective_threads().min(n);
+    run_shards_wide(n, workers, n.min(4 * workers), &worker)
 }
 
-/// The forced-parallel core of [`run_shards`]: `shards >= 2`, cutoff
-/// already checked by the caller.
-fn run_shards_wide<T, F>(n: usize, shards: usize, worker: &F) -> Vec<T>
+/// The forced-parallel core of [`run_shards`]: `2 <= workers <= chunks
+/// <= n`, cutoff already checked by the caller. The calling thread and
+/// `workers - 1` spawned ones claim chunks from an atomic cursor until
+/// none remain; each worker's claim loop is one [`ShardTiming`].
+fn run_shards_wide<T, F>(n: usize, workers: usize, chunks: usize, worker: &F) -> Vec<T>
 where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
-    debug_assert!(shards >= 2 && shards <= n);
+    debug_assert!(2 <= workers && workers <= chunks && chunks <= n);
     let op_start = Instant::now();
-    let ranges = split_ranges(n, shards);
-    let mut slots: Vec<Option<(T, ShardTiming)>> =
-        std::iter::repeat_with(|| None).take(shards).collect();
-    let timed = |shard: usize, range: Range<usize>| {
+    let ranges = split_ranges(n, chunks);
+    let cursor = AtomicUsize::new(0);
+    let claim_loop = |shard: usize| {
         let started = Instant::now();
-        let out = worker(range);
+        let mut done = Vec::new();
+        loop {
+            let chunk = cursor.fetch_add(1, AtomicOrdering::Relaxed);
+            let Some(range) = ranges.get(chunk) else {
+                break;
+            };
+            done.push((chunk, worker(range.clone())));
+        }
         let timing = ShardTiming {
             shard,
             start_offset_ns: started.duration_since(op_start).as_nanos() as u64,
             dur_ns: started.elapsed().as_nanos() as u64,
         };
-        (out, timing)
+        (done, timing)
     };
-    std::thread::scope(|scope| {
-        let mut work = ranges.into_iter().zip(slots.iter_mut()).enumerate();
-        // Shard 0 runs on the calling thread after the others launch.
-        let (_, (range0, slot0)) = work.next().expect("shards >= 2");
-        for (shard, (range, slot)) in work {
-            let timed = &timed;
-            scope.spawn(move || *slot = Some(timed(shard, range)));
-        }
-        *slot0 = Some(timed(0, range0));
+    let per_worker: Vec<_> = std::thread::scope(|scope| {
+        let claim_loop = &claim_loop;
+        let spawned: Vec<_> = (1..workers)
+            .map(|shard| scope.spawn(move || claim_loop(shard)))
+            .collect();
+        // The calling thread claims too, after the others launch.
+        std::iter::once(claim_loop(0))
+            .chain(spawned.into_iter().map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p))
+            }))
+            .collect()
     });
-    TASKS_SPAWNED.fetch_add(shards as u64 - 1, AtomicOrdering::Relaxed);
+    TASKS_SPAWNED.fetch_add(workers as u64 - 1, AtomicOrdering::Relaxed);
     PARALLEL_OPS.fetch_add(1, AtomicOrdering::Relaxed);
-    let mut results = Vec::with_capacity(shards);
+    let mut results = Vec::with_capacity(chunks);
     COLLECTOR.with(|c| {
         let mut c = c.borrow_mut();
-        for slot in slots {
-            let (out, timing) = slot.expect("every shard ran");
+        for (done, timing) in per_worker {
+            results.extend(done);
             if let Some(report) = c.as_mut() {
                 report.shards.push(timing);
             }
-            results.push(out);
         }
         if let Some(report) = c.as_mut() {
-            report.tasks_spawned += shards as u64 - 1;
+            report.tasks_spawned += workers as u64 - 1;
         }
     });
-    results
+    results.sort_unstable_by_key(|(chunk, _)| *chunk);
+    results.into_iter().map(|(_, out)| out).collect()
 }
 
 /// Map `f` over `0..n` in parallel, returning results **in input order**.
 ///
-/// This is the batched point-query executor: the engine shards a
-/// `CoordBuffer` of queries across threads and the concatenation of
-/// contiguous shard outputs reproduces the sequential output exactly.
+/// This is the workspace's one fan-out executor: batched point queries
+/// over a `CoordBuffer`, the storage engine's per-fragment reads and the
+/// striped backend's per-device transfers all run through it. The
+/// concatenation of contiguous chunk outputs reproduces the sequential
+/// output exactly.
 pub fn par_map<R, F>(n: usize, p: Parallelism, f: F) -> Vec<R>
 where
     R: Send,
@@ -379,8 +400,9 @@ where
         perm.sort_by(|&a, &b| cmp(a, b));
         return perm;
     }
+    // One run per worker keeps the merge tree independent of chunking.
     let shards = p.effective_threads().min(n);
-    let mut runs: Vec<Vec<usize>> = run_shards_wide(n, shards, &|range: Range<usize>| {
+    let mut runs: Vec<Vec<usize>> = run_shards_wide(n, shards, shards, &|range: Range<usize>| {
         let mut chunk: Vec<usize> = range.collect();
         chunk.sort_unstable_by(|&a, &b| cmp(a, b));
         chunk
@@ -393,7 +415,8 @@ where
         let odd = runs.len() % 2 == 1;
         let merge_pair = |i: usize| merge_runs(&runs[2 * i], &runs[2 * i + 1], &cmp);
         let mut next: Vec<Vec<usize>> = if pairs >= 2 && shards >= 2 {
-            run_shards_wide(pairs, shards.min(pairs), &|range: Range<usize>| {
+            let workers = shards.min(pairs);
+            run_shards_wide(pairs, workers, workers, &|range: Range<usize>| {
                 range.map(merge_pair).collect::<Vec<_>>()
             })
             .into_iter()
@@ -482,24 +505,50 @@ mod tests {
         }
     }
 
+    // Spawn counts come from `observed`'s thread-local report: the
+    // process-wide `stats()` also counts sibling tests running at the
+    // same time.
     #[test]
     fn sequential_config_never_spawns() {
         let before = stats();
-        let out = par_map(10_000, Parallelism::sequential(), |i| i);
-        assert_eq!(out.len(), 10_000);
-        let _ = sort_indices_by(10_000, Parallelism::sequential(), |a, b| a.cmp(&b));
-        let after = stats();
-        assert_eq!(after.tasks_spawned, before.tasks_spawned);
-        assert!(after.sequential_ops >= before.sequential_ops + 2);
+        let (_, report) = observed(Parallelism::sequential(), || {
+            let out = par_map(10_000, Parallelism::sequential(), |i| i);
+            assert_eq!(out.len(), 10_000);
+            sort_indices_by(10_000, Parallelism::sequential(), |a, b| a.cmp(&b))
+        });
+        assert_eq!(report.tasks_spawned, 0);
+        assert!(report.shards.is_empty());
+        assert!(stats().sequential_ops >= before.sequential_ops + 2);
     }
 
     #[test]
     fn cutoff_keeps_small_inputs_sequential() {
         let p = Parallelism::with_threads(8).with_cutoff(1000);
-        let before = stats();
-        let _ = par_map(999, p, |i| i);
-        assert_eq!(stats().tasks_spawned, before.tasks_spawned);
+        let (_, report) = observed(p, || par_map(999, p, |i| i));
+        assert_eq!(report.tasks_spawned, 0);
+        assert!(report.shards.is_empty());
         assert!(p.goes_parallel(1000) || p.effective_threads() == 1);
+    }
+
+    #[test]
+    fn a_slow_item_does_not_hold_up_the_items_after_it() {
+        // Item 0 waits for every other item. A static two-way split would
+        // put items 1 and 2 behind it on the same worker and time out;
+        // with a shared cursor the other worker claims them all.
+        let finished = AtomicUsize::new(0);
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        let out = par_map(6, forced(2), |i| {
+            if i == 0 {
+                while finished.load(AtomicOrdering::Acquire) < 5 {
+                    assert!(Instant::now() < deadline, "items behind item 0 never ran");
+                    std::thread::yield_now();
+                }
+            } else {
+                finished.fetch_add(1, AtomicOrdering::Release);
+            }
+            i * 10
+        });
+        assert_eq!(out, vec![0, 10, 20, 30, 40, 50]);
     }
 
     #[test]

@@ -71,6 +71,14 @@ fn strict_read_of_bit_flipped_fragment_names_fragment_and_section() {
 
 #[test]
 fn degraded_read_returns_survivors_and_scrub_finds_exactly_the_victim() {
+    // Sequential and fanned-out reads alike: the quarantine is charged on
+    // whichever thread reads the victim and must reach the totals.
+    for threads in [1, 4] {
+        degraded_read_at_width(threads);
+    }
+}
+
+fn degraded_read_at_width(threads: usize) {
     let e = StorageEngine::open_with(
         MemBackend::new(),
         FormatKind::Linear,
@@ -78,7 +86,8 @@ fn degraded_read_returns_survivors_and_scrub_finds_exactly_the_victim() {
         8,
         EngineConfig::default()
             .with_strict_reads(false)
-            .with_telemetry(true),
+            .with_telemetry(true)
+            .with_threads(threads),
     )
     .unwrap();
     e.write_points::<f64>(&coords(&[[1, 1]]), &[1.0]).unwrap();

@@ -109,7 +109,7 @@ proptest! {
         let queries = Region::full(&shape).to_coords();
         let mut outcomes = Vec::new();
         for config in [
-            EngineConfig::default().with_threads(1).with_read_parallelism(1),
+            EngineConfig::default().with_threads(1),
             EngineConfig::default().with_threads(2).with_parallel_cutoff(1),
         ] {
             let engine = StorageEngine::open_with(

@@ -58,15 +58,15 @@ proptest! {
 
             // Reference: one thread, whole-fragment fetches, no cache.
             let reference = EngineConfig::default()
-                .with_read_parallelism(1)
+                .with_threads(1)
                 .with_range_fetch(false);
             let configs = [
                 EngineConfig::default(),                         // parallel + range fetch
-                EngineConfig::default().with_read_parallelism(3),
+                EngineConfig::default().with_threads(3),
                 EngineConfig::default().with_range_fetch(false), // parallel, whole fragments
                 EngineConfig::default().with_cache_capacity(1 << 20),
                 EngineConfig::default()
-                    .with_read_parallelism(2)
+                    .with_threads(2)
                     .with_cache_capacity(512), // cache under eviction pressure
             ];
 

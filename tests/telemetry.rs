@@ -32,12 +32,21 @@ fn seed_fragments(engine: &StorageEngine<SimulatedDisk>, fragments: u64) {
 
 #[test]
 fn telemetry_bytes_agree_with_simulated_disk() {
+    // Totals must not depend on which thread read a fragment.
+    for threads in [1, 4] {
+        telemetry_bytes_agree_at_width(threads);
+    }
+}
+
+fn telemetry_bytes_agree_at_width(threads: usize) {
     let engine = StorageEngine::open_with(
         fast_disk(),
         FormatKind::GcsrPP,
         Shape::new(vec![64, 64]).unwrap(),
         8,
-        EngineConfig::default().with_telemetry(true),
+        EngineConfig::default()
+            .with_telemetry(true)
+            .with_threads(threads),
     )
     .unwrap();
 
@@ -89,6 +98,57 @@ fn telemetry_bytes_agree_with_simulated_disk() {
     );
 }
 
+/// Per-fragment read workers join the read's trace: at width 4 over six
+/// fragments, every fetch and decode span carries the trace id of the
+/// `engine.read` span that fanned out, and sits one level below it.
+#[test]
+fn read_workers_share_the_trace_of_their_read() {
+    let engine = StorageEngine::open_with(
+        fast_disk(),
+        FormatKind::Coo,
+        Shape::new(vec![64, 64]).unwrap(),
+        8,
+        EngineConfig::default().with_telemetry(true).with_threads(4),
+    )
+    .unwrap();
+    seed_fragments(&engine, 6);
+    for region in [
+        Region::from_corners(&[0, 0], &[5, 31]).unwrap(),
+        Region::from_corners(&[2, 0], &[3, 7]).unwrap(),
+    ] {
+        let result = engine.read_region(&region).unwrap();
+        assert!(result.fragments_matched >= 2);
+    }
+
+    let report = engine.telemetry_report().unwrap();
+    let reads: Vec<_> = report
+        .events
+        .iter()
+        .filter(|e| e.kind == SpanKind::Read)
+        .collect();
+    assert_eq!(reads.len(), 2);
+    let mut workers = 0;
+    for e in &report.events {
+        if !matches!(e.kind, SpanKind::ReadFetch | SpanKind::ReadDecode) {
+            continue;
+        }
+        // The read that was open when this worker span ran.
+        let read = reads
+            .iter()
+            .find(|r| r.start_ns <= e.start_ns && e.start_ns <= r.start_ns + r.dur_ns)
+            .expect("worker span inside a read");
+        assert_eq!(
+            e.trace_id, read.trace_id,
+            "{:?} left its read's trace",
+            e.kind
+        );
+        assert_eq!(e.depth, read.depth + 1);
+        workers += 1;
+    }
+    // Six fragments, then two: at least one fetch and one decode each.
+    assert!(workers >= 2 * (6 + 2), "{workers} worker spans");
+}
+
 /// Counts every recorder callback; reports itself disabled.
 #[derive(Default)]
 struct CountingDisabledRecorder {
@@ -131,6 +191,12 @@ fn disabled_recorder_is_never_called() {
 
 #[test]
 fn telemetry_agrees_with_engine_stats() {
+    for threads in [1, 4] {
+        telemetry_agrees_with_engine_stats_at_width(threads);
+    }
+}
+
+fn telemetry_agrees_with_engine_stats_at_width(threads: usize) {
     let engine = StorageEngine::open_with(
         fast_disk(),
         FormatKind::Csf,
@@ -138,7 +204,8 @@ fn telemetry_agrees_with_engine_stats() {
         8,
         EngineConfig::default()
             .with_telemetry(true)
-            .with_cache_capacity(1 << 20),
+            .with_cache_capacity(1 << 20)
+            .with_threads(threads),
     )
     .unwrap();
 
