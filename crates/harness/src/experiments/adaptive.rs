@@ -11,7 +11,7 @@
 //! for the CI `compare_bench.py` gate.
 
 use crate::config::Config;
-use crate::experiments::ExperimentOutput;
+use crate::experiments::{write_bench, Bench, ExperimentOutput};
 use crate::Result;
 use artsparse_core::advisor::recommend_from_stats;
 use artsparse_core::stats::SparsityStats;
@@ -50,21 +50,9 @@ struct Row {
     conversions_fallback: u64,
 }
 
-#[derive(Debug, Serialize)]
-struct Bench {
-    id: String,
-    samples: usize,
-    mean_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-    bytes: u64,
-}
-
-/// Time `READ_REPS` warm point-query passes; returns (mean, min, max) ns.
-fn time_reads(
-    engine: &StorageEngine<MemBackend>,
-    queries: &CoordBuffer,
-) -> Result<(u64, u64, u64)> {
+/// Time `READ_REPS` warm point-query passes; returns one ns sample per
+/// pass.
+fn time_reads(engine: &StorageEngine<MemBackend>, queries: &CoordBuffer) -> Result<Vec<u64>> {
     engine.read(queries)?; // warm the fragment cache
     let mut samples = Vec::with_capacity(READ_REPS);
     for _ in 0..READ_REPS {
@@ -73,10 +61,7 @@ fn time_reads(
         samples.push(start.elapsed().as_nanos() as u64);
         assert!(!r.hits.is_empty(), "queries sample stored points");
     }
-    let mean = samples.iter().sum::<u64>() / samples.len() as u64;
-    let min = *samples.iter().min().unwrap();
-    let max = *samples.iter().max().unwrap();
-    Ok((mean, min, max))
+    Ok(samples)
 }
 
 /// Drive one pattern through the cycles; returns the comparison row plus
@@ -150,8 +135,8 @@ fn run_pattern(cfg: &Config, pattern: Pattern) -> Result<(Row, Vec<Bench>)> {
     for coord in ds.coords.iter().step_by(stride) {
         queries.push(coord)?;
     }
-    let (a_mean, a_min, a_max) = time_reads(&adaptive, &queries)?;
-    let (f_mean, f_min, f_max) = time_reads(&frozen, &queries)?;
+    let a_reads = time_reads(&adaptive, &queries)?;
+    let f_reads = time_reads(&frozen, &queries)?;
 
     let f_stats = frozen.stats()?;
     let telemetry = adaptive.telemetry_report();
@@ -174,22 +159,8 @@ fn run_pattern(cfg: &Config, pattern: Pattern) -> Result<(Row, Vec<Bench>)> {
 
     let slug = pattern.name().to_ascii_lowercase();
     let benches = vec![
-        Bench {
-            id: format!("adaptive-{slug}"),
-            samples: READ_REPS,
-            mean_ns: a_mean,
-            min_ns: a_min,
-            max_ns: a_max,
-            bytes: a_stats.total_bytes,
-        },
-        Bench {
-            id: format!("frozen-coo-{slug}"),
-            samples: READ_REPS,
-            mean_ns: f_mean,
-            min_ns: f_min,
-            max_ns: f_max,
-            bytes: f_stats.total_bytes,
-        },
+        Bench::new(format!("adaptive-{slug}"), &a_reads, a_stats.total_bytes),
+        Bench::new(format!("frozen-coo-{slug}"), &f_reads, f_stats.total_bytes),
     ];
     let row = Row {
         pattern: pattern.name().to_string(),
@@ -203,8 +174,8 @@ fn run_pattern(cfg: &Config, pattern: Pattern) -> Result<(Row, Vec<Bench>)> {
             .join("+"),
         converged,
         reads_identical,
-        adaptive_read_ns: a_mean,
-        frozen_read_ns: f_mean,
+        adaptive_read_ns: benches[0].mean_ns,
+        frozen_read_ns: benches[1].mean_ns,
         adaptive_bytes: a_stats.total_bytes,
         frozen_bytes: f_stats.total_bytes,
         fragments_migrated: totals.fragments_migrated,
@@ -275,10 +246,7 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
     // The compare_bench.py gate compares `bytes`, which is deterministic
     // on the in-memory backend; the ns columns document the warm-read win.
     if let Some(dir) = &cfg.out_dir {
-        std::fs::create_dir_all(dir)?;
-        let doc = serde_json::json!({ "group": "adaptive_reorg", "benchmarks": benches });
-        let path = dir.join("BENCH_adaptive_reorg.json");
-        std::fs::write(&path, serde_json::to_string_pretty(&doc)?)?;
+        let path = write_bench(dir, "adaptive_reorg", &benches)?;
         eprintln!("[adaptive] bench -> {}", path.display());
     }
 

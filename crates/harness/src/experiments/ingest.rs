@@ -16,7 +16,7 @@
 //!    counters are reported (informational — wall-clock, not gated).
 
 use crate::config::Config;
-use crate::experiments::ExperimentOutput;
+use crate::experiments::{write_bench, Bench, ExperimentOutput};
 use crate::Result;
 use artsparse_core::FormatKind;
 use artsparse_metrics::Table;
@@ -50,16 +50,6 @@ struct Row {
     scheduler_consolidations: u64,
     scheduler_errors: u64,
     scheduler_last_error: Option<String>,
-}
-
-#[derive(Debug, Serialize)]
-struct Bench {
-    id: String,
-    samples: usize,
-    mean_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-    bytes: u64,
 }
 
 /// Slice the dataset into `batch`-point [`CoordBuffer`]s plus their
@@ -98,8 +88,11 @@ fn run_deterministic(cfg: &Config, pattern: Pattern) -> Result<(Row, Bench)> {
     )?;
 
     let start = Instant::now();
+    let mut batch_ns = Vec::with_capacity(work.len());
     for (coords, vals) in &work {
+        let batch_start = Instant::now();
         engine.ingest_points::<f64>(coords, vals)?;
+        batch_ns.push(batch_start.elapsed().as_nanos() as u64);
     }
     engine.flush()?;
     let ingest_ns = start.elapsed().as_nanos() as u64;
@@ -162,16 +155,14 @@ fn run_deterministic(cfg: &Config, pattern: Pattern) -> Result<(Row, Bench)> {
         scheduler_last_error: None,
     };
     let slug = pattern.name().to_ascii_lowercase();
-    let bench = Bench {
-        id: format!("ingest-{slug}"),
-        samples: work.len(),
-        mean_ns: ingest_ns / work.len().max(1) as u64,
-        min_ns: 0,
-        max_ns: ingest_ns,
-        // The gated statistic: WAL bytes + final store size, both pure
-        // functions of the dataset and the flush threshold.
-        bytes: totals.wal_bytes + stats.total_bytes,
-    };
+    // One sample per ingest batch. The gated statistic: WAL bytes +
+    // final store size, both pure functions of the dataset and the flush
+    // threshold.
+    let bench = Bench::new(
+        format!("ingest-{slug}"),
+        &batch_ns,
+        totals.wal_bytes + stats.total_bytes,
+    );
     Ok((row, bench))
 }
 
@@ -221,8 +212,11 @@ fn run_concurrent(cfg: &Config, pattern: Pattern, row: &mut Row) -> Result<()> {
     };
 
     let start = Instant::now();
+    let mut batch_ns = Vec::with_capacity(work.len());
     for (coords, vals) in &work {
+        let batch_start = Instant::now();
         engine.ingest_points::<f64>(coords, vals)?;
+        batch_ns.push(batch_start.elapsed().as_nanos() as u64);
     }
     engine.flush()?;
     let elapsed_ns = start.elapsed().as_nanos().max(1) as u64;
@@ -323,10 +317,7 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
     // which is deterministic on the in-memory backend; the writes/sec
     // columns are wall-clock and informational.
     if let Some(dir) = &cfg.out_dir {
-        std::fs::create_dir_all(dir)?;
-        let doc = serde_json::json!({ "group": "ingest", "benchmarks": benches });
-        let path = dir.join("BENCH_ingest.json");
-        std::fs::write(&path, serde_json::to_string_pretty(&doc)?)?;
+        let path = write_bench(dir, "ingest", &benches)?;
         eprintln!("[ingest] bench -> {}", path.display());
     }
 

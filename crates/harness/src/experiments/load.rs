@@ -24,13 +24,19 @@
 //! refusals (`BACKPRESSURE`, `READONLY`, `QUOTA`) count as *shed* — the
 //! open-loop clock keeps running — and any other `ERR` fails the run.
 //!
-//! `BENCH_server.json` carries one row per phase; the CI-gated statistic
-//! is `bytes`, the **request** byte volume, which is a pure function of
-//! (seed, scale, rate-independent mix) and therefore deterministic.
-//! Wall-clock columns are informational.
+//! `BENCH_server.json` carries one row per phase, one latency sample per
+//! request; the CI-gated statistic is `bytes`, the **request** byte
+//! volume, which is a pure function of (seed, scale, rate-independent
+//! mix) and therefore deterministic. Wall-clock columns are
+//! informational.
+//!
+//! With `--out DIR` each phase's server also publishes its metrics
+//! exporter into `DIR/<phase>-metrics` (`metrics.prom`, `metrics.jsonl`,
+//! `journal.jsonl`), so `watch` and `validate-journal` can check the
+//! served path's artifacts.
 
 use crate::config::Config;
-use crate::experiments::ExperimentOutput;
+use crate::experiments::{write_bench, Bench, ExperimentOutput};
 use crate::Result;
 use artsparse_metrics::{Histogram, Table};
 use artsparse_patterns::Scale;
@@ -38,6 +44,7 @@ use artsparse_server::{MemFactory, Server, ServerConfig, ServerHandle};
 use serde::Serialize;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Points per `INGEST` batch in the request mix.
@@ -61,8 +68,8 @@ struct WorkerReport {
     acked_points: u64,
     shed: u64,
     request_bytes: u64,
-    /// Scheduled-arrival → reply, nanoseconds.
-    latency: Histogram,
+    /// Scheduled-arrival → reply, nanoseconds, one per request.
+    latency_ns: Vec<u64>,
     wall_ns: u64,
 }
 
@@ -80,16 +87,6 @@ struct PhaseRow {
     p95_us: u64,
     p99_us: u64,
     request_bytes: u64,
-}
-
-#[derive(Debug, Serialize)]
-struct Bench {
-    id: String,
-    samples: usize,
-    mean_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-    bytes: u64,
 }
 
 /// Build the deterministic request for index `i` (newline-terminated).
@@ -141,7 +138,7 @@ fn worker(
         acked_points: 0,
         shed: 0,
         request_bytes: 0,
-        latency: Histogram::new(),
+        latency_ns: Vec::with_capacity(requests as usize),
         wall_ns: 0,
     };
     let period_ns = 1_000_000_000 / rate.max(1);
@@ -157,7 +154,9 @@ fn worker(
         writer.write_all(req.as_bytes())?;
         writer.flush()?;
         let reply = read_reply(&mut reader)?;
-        report.latency.record(scheduled.elapsed().as_nanos() as u64);
+        report
+            .latency_ns
+            .push(scheduled.elapsed().as_nanos() as u64);
         if reply.starts_with("OK") {
             report.acked_points += points as u64;
         } else if ["ERR BACKPRESSURE", "ERR READONLY", "ERR QUOTA"]
@@ -175,13 +174,15 @@ fn worker(
     Ok(report)
 }
 
-/// A fresh 2-shard in-memory server with the background scheduler live.
-fn start_server() -> Result<ServerHandle> {
+/// A fresh 2-shard in-memory server with the background scheduler live,
+/// publishing its metrics into `metrics_out` if set.
+fn start_server(metrics_out: Option<PathBuf>) -> Result<ServerHandle> {
     Ok(Server::start(
         ServerConfig {
             shards: 2,
             tcp: Some("127.0.0.1:0".into()),
             scheduler: Some(artsparse_storage::SchedulerConfig::default()),
+            metrics_out,
             ..ServerConfig::default()
         },
         MemFactory,
@@ -195,8 +196,9 @@ fn run_phase(
     requests: u64,
     rate: u64,
     seed: u64,
+    metrics_out: Option<PathBuf>,
 ) -> Result<(PhaseRow, Bench)> {
-    let mut handle = start_server()?;
+    let mut handle = start_server(metrics_out)?;
     let addr = handle
         .tcp_addr()
         .ok_or("load: server bound no TCP address")?;
@@ -206,7 +208,7 @@ fn run_phase(
             std::thread::spawn(move || worker(addr, &tenant, requests, rate, seed ^ (w as u64 + 1)))
         })
         .collect();
-    let mut latency = Histogram::new();
+    let mut latency_ns = Vec::new();
     let mut row = PhaseRow {
         phase: phase.to_string(),
         tenants,
@@ -227,7 +229,7 @@ fn run_phase(
         row.acked_points += report.acked_points;
         row.shed += report.shed;
         row.request_bytes += report.request_bytes;
-        latency.merge(&report.latency);
+        latency_ns.extend(report.latency_ns);
         max_wall_ns = max_wall_ns.max(report.wall_ns);
     }
     let drain = handle.shutdown();
@@ -235,17 +237,12 @@ fn run_phase(
         return Err(format!("load: {} drain error(s)", drain.errors).into());
     }
     row.achieved_rps = row.requests as f64 / (max_wall_ns.max(1) as f64 / 1e9);
+    let mut latency = Histogram::new();
+    latency_ns.iter().for_each(|&ns| latency.record(ns));
     row.p50_us = latency.p50().unwrap_or(0) / 1000;
     row.p95_us = latency.p95().unwrap_or(0) / 1000;
     row.p99_us = latency.p99().unwrap_or(0) / 1000;
-    let bench = Bench {
-        id: phase.to_string(),
-        samples: row.requests as usize,
-        mean_ns: max_wall_ns / row.requests.max(1),
-        min_ns: latency.p50().unwrap_or(0),
-        max_ns: latency.p99().unwrap_or(0),
-        bytes: row.request_bytes,
-    };
+    let bench = Bench::new(phase, &latency_ns, row.request_bytes);
     Ok((row, bench))
 }
 
@@ -266,7 +263,11 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
     let mut rows = Vec::new();
     let mut benches = Vec::new();
     for (phase, n) in [("load-solo", 1), ("load-multi", tenants)] {
-        let (row, bench) = run_phase(phase, n, requests, rate, cfg.params.seed)?;
+        let metrics_out = cfg
+            .out_dir
+            .as_ref()
+            .map(|dir| dir.join(format!("{phase}-metrics")));
+        let (row, bench) = run_phase(phase, n, requests, rate, cfg.params.seed, metrics_out)?;
         eprintln!(
             "[load] {}: {} tenant(s) · {} request(s) · {:.0}/{} rps · \
              p50 {} µs · p95 {} µs · p99 {} µs · {} shed",
@@ -320,10 +321,7 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
     // function of seed and scale. Latency/throughput columns are
     // informational (machine- and load-dependent).
     if let Some(dir) = &cfg.out_dir {
-        std::fs::create_dir_all(dir)?;
-        let doc = serde_json::json!({ "group": "server", "benchmarks": benches });
-        let path = dir.join("BENCH_server.json");
-        std::fs::write(&path, serde_json::to_string_pretty(&doc)?)?;
+        let path = write_bench(dir, "server", &benches)?;
         eprintln!("[load] bench -> {}", path.display());
     }
 

@@ -21,7 +21,51 @@ pub mod torture;
 
 use crate::Result;
 use artsparse_metrics::Table;
-use std::path::Path;
+use serde::Serialize;
+use std::path::{Path, PathBuf};
+
+/// One record of a `BENCH_<group>.json` document, shared by every
+/// experiment that writes one. The time fields summarize one wall-clock
+/// sample per timed unit (a read pass, an ingest batch, a request);
+/// `bytes` is the deterministic statistic `ci/compare_bench.py` gates.
+#[derive(Debug, Serialize)]
+pub(crate) struct Bench {
+    /// Benchmark id, stable across runs.
+    pub id: String,
+    /// Number of timed samples.
+    pub samples: usize,
+    /// Mean sample, in nanoseconds.
+    pub mean_ns: u64,
+    /// Fastest sample, in nanoseconds.
+    pub min_ns: u64,
+    /// Slowest sample, in nanoseconds.
+    pub max_ns: u64,
+    /// Deterministic byte count for the CI gate.
+    pub bytes: u64,
+}
+
+impl Bench {
+    /// Summarize `samples_ns`, one wall-clock time per sample.
+    pub fn new(id: impl Into<String>, samples_ns: &[u64], bytes: u64) -> Bench {
+        Bench {
+            id: id.into(),
+            samples: samples_ns.len(),
+            mean_ns: samples_ns.iter().sum::<u64>() / samples_ns.len().max(1) as u64,
+            min_ns: samples_ns.iter().copied().min().unwrap_or(0),
+            max_ns: samples_ns.iter().copied().max().unwrap_or(0),
+            bytes,
+        }
+    }
+}
+
+/// Write `benches` as `<dir>/BENCH_<group>.json` and return its path.
+pub(crate) fn write_bench(dir: &Path, group: &str, benches: &[Bench]) -> Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
+    let doc = serde_json::json!({ "group": group, "benchmarks": benches });
+    let path = dir.join(format!("BENCH_{group}.json"));
+    std::fs::write(&path, serde_json::to_string_pretty(&doc)?)?;
+    Ok(path)
+}
 
 /// The printable/saveable result of one experiment.
 pub struct ExperimentOutput {

@@ -6,9 +6,10 @@
 //!    flush → consolidate workload (no background threads — without the
 //!    scheduler, self-flushes trigger only on the point threshold, so
 //!    both variants do byte-identical work) runs `REPEATS` times with
-//!    the observability plane off and on. "On" means every span flows
-//!    through the [`ObservedRecorder`] into the registry and journal —
-//!    the per-operation tax the <5% CI gate holds. The reported overhead
+//!    the observability plane off and on. "Off" means the engine has no
+//!    span sink at all; "on" means every span flows through the
+//!    [`SpanSink`]'s plane part into the registry and journal — the
+//!    per-operation tax the <5% CI gate holds. The reported overhead
 //!    is the ratio of *minimum* wall-clocks (min-of-N discards OS
 //!    noise).
 //! 2. **Scheduler-live artifact run (untimed).** The same dataset runs
@@ -23,10 +24,10 @@
 //! size — identical across variants (observability must never change
 //! stored bytes) and deterministic on the in-memory backend.
 //!
-//! [`ObservedRecorder`]: artsparse_metrics::ObservedRecorder
+//! [`SpanSink`]: artsparse_metrics::SpanSink
 
 use crate::config::Config;
-use crate::experiments::ExperimentOutput;
+use crate::experiments::{write_bench, Bench, ExperimentOutput};
 use crate::Result;
 use artsparse_core::FormatKind;
 use artsparse_metrics::{exposition, Table};
@@ -68,16 +69,6 @@ struct Row {
     read_amplification: f64,
     /// Enabled and disabled stores ended byte-identical.
     verified: bool,
-}
-
-#[derive(Debug, Serialize)]
-struct Bench {
-    id: String,
-    samples: usize,
-    mean_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-    bytes: u64,
 }
 
 /// What the untimed scheduler-live artifact run observed.
@@ -254,7 +245,6 @@ fn run_pattern(cfg: &Config, pattern: Pattern, live_dir: &Path) -> Result<(Row, 
         .unwrap_or(0);
 
     let min = |v: &[u64]| v.iter().copied().min().unwrap_or(0);
-    let mean = |v: &[u64]| v.iter().sum::<u64>() / v.len().max(1) as u64;
     let disabled_min = min(&disabled).max(1);
     let enabled_min = min(&enabled);
     let slug = pattern.name().to_ascii_lowercase();
@@ -275,22 +265,12 @@ fn run_pattern(cfg: &Config, pattern: Pattern, live_dir: &Path) -> Result<(Row, 
         verified: enabled_bytes == disabled_bytes && live.store_bytes == disabled_bytes,
     };
     let benches = vec![
-        Bench {
-            id: format!("observe-{slug}-disabled"),
-            samples: disabled.len(),
-            mean_ns: mean(&disabled),
-            min_ns: disabled_min,
-            max_ns: disabled.iter().copied().max().unwrap_or(0),
-            bytes: disabled_bytes,
-        },
-        Bench {
-            id: format!("observe-{slug}-enabled"),
-            samples: enabled.len(),
-            mean_ns: mean(&enabled),
-            min_ns: enabled_min,
-            max_ns: enabled.iter().copied().max().unwrap_or(0),
-            bytes: enabled_bytes,
-        },
+        Bench::new(
+            format!("observe-{slug}-disabled"),
+            &disabled,
+            disabled_bytes,
+        ),
+        Bench::new(format!("observe-{slug}-enabled"), &enabled, enabled_bytes),
     ];
     Ok((row, benches))
 }
@@ -367,10 +347,7 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
     // gates the enabled/disabled *ratio* instead, which divides out the
     // runner's speed.
     if let Some(dir) = &cfg.out_dir {
-        std::fs::create_dir_all(dir)?;
-        let doc = serde_json::json!({ "group": "observability", "benchmarks": benches });
-        let path = dir.join("BENCH_observability.json");
-        std::fs::write(&path, serde_json::to_string_pretty(&doc)?)?;
+        let path = write_bench(dir, "observability", &benches)?;
         eprintln!("[observe] bench -> {}", path.display());
     }
 

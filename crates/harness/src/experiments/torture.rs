@@ -35,7 +35,7 @@
 //! [`FailingBackend`]: artsparse_storage::FailingBackend
 
 use crate::config::Config;
-use crate::experiments::ExperimentOutput;
+use crate::experiments::{write_bench, Bench, ExperimentOutput};
 use crate::Result;
 use artsparse_core::FormatKind;
 use artsparse_metrics::Table;
@@ -92,16 +92,6 @@ struct ScheduleRow {
     /// exactly; no unacked point was ever visible; scrub was clean.
     verified: bool,
     store_bytes: u64,
-}
-
-#[derive(Debug, Serialize)]
-struct Bench {
-    id: String,
-    samples: usize,
-    mean_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-    bytes: u64,
 }
 
 /// What the scheduler-live overload run observed.
@@ -235,8 +225,9 @@ fn run_schedule(index: usize, base_seed: u64, ops: usize) -> Result<(ScheduleRow
     };
     let mut enospc_left = 0u32; // steps remaining in the current window
 
-    let started = Instant::now();
+    let mut op_ns = Vec::with_capacity(ops);
     for step in 0..ops {
+        let op_start = Instant::now();
         if enospc_left > 0 {
             enospc_left -= 1;
             if enospc_left == 0 {
@@ -305,6 +296,7 @@ fn run_schedule(index: usize, base_seed: u64, ops: usize) -> Result<(ScheduleRow
                 }
             }
         }
+        op_ns.push(op_start.elapsed().as_nanos() as u64);
         let (buffered, wal) = assert_caps(&engine)?;
         row.max_buffer_bytes = row.max_buffer_bytes.max(buffered);
         row.max_wal_bytes = row.max_wal_bytes.max(wal);
@@ -342,15 +334,8 @@ fn run_schedule(index: usize, base_seed: u64, ops: usize) -> Result<(ScheduleRow
     row.acked_points = acked.len();
     row.verified = true;
 
-    let wall = started.elapsed().as_nanos() as u64;
-    let bench = Bench {
-        id: format!("torture-sched{index}"),
-        samples: ops,
-        mean_ns: wall / ops.max(1) as u64,
-        min_ns: 0,
-        max_ns: wall,
-        bytes: row.store_bytes,
-    };
+    // One sample per chaos operation.
+    let bench = Bench::new(format!("torture-sched{index}"), &op_ns, row.store_bytes);
     Ok((row, bench))
 }
 
@@ -530,14 +515,11 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
         live.recovery_ns as f64 / 1e6,
         live.health_transitions,
     );
-    benches.push(Bench {
-        id: "torture-live-recovery".into(),
-        samples: 1,
-        mean_ns: live.recovery_ns,
-        min_ns: live.recovery_ns,
-        max_ns: live.recovery_ns,
-        bytes: live.store_bytes,
-    });
+    benches.push(Bench::new(
+        "torture-live-recovery",
+        &[live.recovery_ns],
+        live.store_bytes,
+    ));
 
     let mut table = Table::new(
         "write-chaos torture — seeded fault schedules",
@@ -598,10 +580,7 @@ pub fn run(cfg: &Config) -> Result<ExperimentOutput> {
     // seeded schedule, fully deterministic (same seed, same schedule,
     // same acked set). The ns columns are wall-clock, informational.
     if let Some(dir) = &cfg.out_dir {
-        std::fs::create_dir_all(dir)?;
-        let doc = serde_json::json!({ "group": "torture", "benchmarks": benches });
-        let path = dir.join("BENCH_torture.json");
-        std::fs::write(&path, serde_json::to_string_pretty(&doc)?)?;
+        let path = write_bench(dir, "torture", &benches)?;
         eprintln!("[torture] bench -> {}", path.display());
     }
 

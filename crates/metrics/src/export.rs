@@ -1,7 +1,7 @@
 //! Machine-readable telemetry export.
 //!
-//! [`TelemetryReport`] is the stable snapshot a
-//! [`TelemetryRecorder`](crate::TelemetryRecorder) produces: per-span-kind
+//! [`TelemetryReport`] is the stable snapshot the aggregating part of a
+//! [`SpanSink`](crate::SpanSink) produces: per-span-kind
 //! summaries (count, latency percentiles, I/O totals), per-backend
 //! operation timings, the grand I/O total, and the retained raw events.
 //! It serializes to the JSON document the harness writes per matrix cell
@@ -10,8 +10,8 @@
 //! the paper tables.
 
 use crate::histogram::Histogram;
-use crate::recorder::Inner;
 use crate::report::Table;
+use crate::sink::Inner;
 use crate::span::{IoStats, SpanKind, SpanRecord};
 use serde::Serialize;
 
@@ -81,7 +81,7 @@ pub struct BackendOpSummary {
     pub latency: Histogram,
 }
 
-/// One telemetry document: everything a recorder saw, aggregated.
+/// One telemetry document: everything a sink saw, aggregated.
 #[derive(Debug, Clone, Serialize)]
 pub struct TelemetryReport {
     /// Export schema version ([`TELEMETRY_VERSION`]).
@@ -259,24 +259,23 @@ impl TelemetryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{Recorder, TelemetryRecorder};
+    use crate::sink::{SpanSink, DEFAULT_EVENT_CAPACITY};
     use crate::span::{charge, Span};
     use std::sync::Arc;
 
     fn sample_report() -> TelemetryReport {
-        let t = Arc::new(TelemetryRecorder::new());
-        let r: Arc<dyn Recorder> = t.clone();
+        let t = Arc::new(SpanSink::new(Some(DEFAULT_EVENT_CAPACITY), None));
         {
-            let _read = Span::enter(&r, SpanKind::Read);
+            let _read = Span::enter(Some(&t), SpanKind::Read);
             charge(|io| io.bytes_requested += 64);
-            let _fetch = Span::enter(&r, SpanKind::ReadFetch);
+            let _fetch = Span::enter(Some(&t), SpanKind::ReadFetch);
             charge(|io| {
                 io.requests += 2;
                 io.bytes_fetched += 256;
             });
         }
         t.record_backend_op("sim", "get_range", 2_000, 256);
-        t.report()
+        t.report().unwrap()
     }
 
     #[test]

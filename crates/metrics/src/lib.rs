@@ -8,15 +8,16 @@
 //!   Write / Others breakdown;
 //! * [`score`] — the Table IV overall-score formula;
 //! * [`report`] — aligned ASCII tables plus CSV/JSON emission;
-//! * [`span`] / [`recorder`] / [`histogram`] / [`export`] — the runtime
+//! * [`span`] / [`sink`] / [`histogram`] / [`export`] — the runtime
 //!   telemetry subsystem: thread-local span tracing with per-span I/O
-//!   accounting, log₂ latency histograms, pluggable span sinks (no-op by
-//!   default), and JSON/CSV export of the aggregated report;
+//!   accounting, the one span sink (absent when telemetry is off) with
+//!   an aggregating part and a plane part, log₂ latency histograms, and
+//!   JSON/CSV export of the aggregated report;
 //! * [`registry`] / [`journal`] / [`plane`] / [`exposition`] — the live
 //!   observability plane: named atomic counters and gauges with
 //!   snapshot + delta semantics, a trace-correlated structured event
-//!   journal, the recorder decorator that feeds both from span traffic,
-//!   and Prometheus-text rendering/parsing of registry snapshots.
+//!   journal, the policy that derives both from span traffic, and
+//!   Prometheus-text rendering/parsing of registry snapshots.
 
 #![warn(missing_docs)]
 
@@ -26,10 +27,10 @@ pub mod exposition;
 pub mod histogram;
 pub mod journal;
 pub mod plane;
-pub mod recorder;
 pub mod registry;
 pub mod report;
 pub mod score;
+pub mod sink;
 pub mod span;
 pub mod stats;
 pub mod stopwatch;
@@ -38,11 +39,11 @@ pub use counter::{OpCounter, OpCounts, OpKind};
 pub use export::{BackendOpSummary, SpanSummary, TelemetryReport, TELEMETRY_VERSION};
 pub use histogram::{bucket_bounds, bucket_index, Histogram, HISTOGRAM_BUCKETS};
 pub use journal::{Journal, JournalEvent, Severity, DEFAULT_JOURNAL_CAPACITY};
-pub use plane::{ObservabilityPlane, ObservedRecorder};
-pub use recorder::{NoopRecorder, Recorder, TelemetryRecorder, DEFAULT_EVENT_CAPACITY};
+pub use plane::ObservabilityPlane;
 pub use registry::{Counter, Gauge, MetricKind, MetricSample, MetricsRegistry, RegistrySnapshot};
 pub use report::Table;
 pub use score::{overall_scores, ranking, Measurement, ScoreError};
+pub use sink::{SpanSink, DEFAULT_EVENT_CAPACITY};
 pub use span::{
     charge, current_trace_id, now_ns, IoStats, Span, SpanKind, SpanRecord, TraceContext,
 };

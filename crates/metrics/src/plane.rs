@@ -1,25 +1,23 @@
-//! The assembled observability plane: registry + journal + the recorder
-//! decorator that feeds them.
+//! The assembled observability plane: registry + journal + the policy
+//! that derives both from span traffic.
 //!
 //! [`ObservabilityPlane`] bundles one [`MetricsRegistry`] and one
 //! [`Journal`] with the derived-event policy (the slow-span threshold).
-//! The engine holds it behind an `Option<Arc<..>>`: `None` means the
-//! plane is off and **no registry or journal call happens anywhere** —
-//! the zero-overhead-when-disabled contract.
+//! It is the optional plane part of the [`SpanSink`]: when the plane is
+//! off **no registry or journal call happens anywhere** — the
+//! zero-overhead-when-disabled contract.
 //!
-//! [`ObservedRecorder`] is how span traffic reaches the plane without
-//! touching engine hot paths: it decorates whatever recorder the engine
-//! would otherwise use (the aggregating telemetry recorder or the no-op
-//! one), forwards every finished span unchanged, and then lets the plane
-//! inspect the record — folding its I/O counters into live registry
-//! counters and journaling derived events (slow span, retry, checksum
-//! failure, quarantine) with the span's `trace_id`.
+//! Span traffic reaches the plane without touching engine hot paths: the
+//! sink hands it every finished span, and the plane folds the record's
+//! I/O counters into live registry counters and journals derived events
+//! (slow span, retry, checksum failure, quarantine) with the span's
+//! `trace_id`.
+//!
+//! [`SpanSink`]: crate::SpanSink
 
 use crate::journal::{Journal, JournalEvent, Severity};
-use crate::recorder::Recorder;
 use crate::registry::{Counter, MetricsRegistry};
 use crate::span::{now_ns, SpanRecord};
-use std::sync::Arc;
 
 /// Registry + journal + derived-event policy. See the module docs.
 pub struct ObservabilityPlane {
@@ -144,8 +142,8 @@ impl ObservabilityPlane {
     }
 
     /// Fold one finished span into the plane: live counters plus derived
-    /// journal events. Called by [`ObservedRecorder`].
-    pub fn observe_span(&self, record: &SpanRecord) {
+    /// journal events. Called by the [`SpanSink`](crate::SpanSink).
+    pub(crate) fn observe_span(&self, record: &SpanRecord) {
         let io = &record.io;
         self.bytes_fetched.add(io.bytes_fetched);
         self.bytes_written.add(io.bytes_written);
@@ -216,64 +214,34 @@ impl ObservabilityPlane {
     }
 }
 
-/// Recorder decorator feeding an [`ObservabilityPlane`]. See the module
-/// docs.
-pub struct ObservedRecorder {
-    inner: Arc<dyn Recorder>,
-    plane: Arc<ObservabilityPlane>,
-}
-
-impl ObservedRecorder {
-    /// Wrap `inner` (the aggregating or no-op recorder) so every span
-    /// also reaches `plane`.
-    pub fn new(inner: Arc<dyn Recorder>, plane: Arc<ObservabilityPlane>) -> ObservedRecorder {
-        ObservedRecorder { inner, plane }
-    }
-}
-
-impl Recorder for ObservedRecorder {
-    /// Always enabled: the decorator only exists when the plane is on,
-    /// and the plane needs finished spans even if the inner aggregating
-    /// recorder is the no-op.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record_span(&self, record: &SpanRecord) {
-        self.inner.record_span(record);
-        self.plane.observe_span(record);
-    }
-
-    fn record_backend_op(&self, backend: &'static str, op: &'static str, dur_ns: u64, bytes: u64) {
-        self.inner.record_backend_op(backend, op, dur_ns, bytes);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{NoopRecorder, TelemetryRecorder};
+    use crate::sink::{SpanSink, DEFAULT_EVENT_CAPACITY};
     use crate::span::{charge, Span, SpanKind};
+    use std::sync::Arc;
 
-    fn plane() -> Arc<ObservabilityPlane> {
-        Arc::new(ObservabilityPlane::new(64, 0))
+    /// A sink whose only part is a plane with the given slow-span
+    /// threshold.
+    fn observed(slow_span_ns: u64) -> Arc<SpanSink> {
+        Arc::new(SpanSink::new(
+            None,
+            Some(ObservabilityPlane::new(64, slow_span_ns)),
+        ))
     }
 
     #[test]
     fn spans_fold_into_live_counters() {
-        let p = plane();
-        let r: Arc<dyn Recorder> = Arc::new(ObservedRecorder::new(
-            Arc::new(NoopRecorder),
-            Arc::clone(&p),
-        ));
+        let s = observed(0);
         {
-            let _s = Span::enter(&r, SpanKind::Ingest);
+            let _s = Span::enter(Some(&s), SpanKind::Ingest);
             charge(|io| {
                 io.wal_bytes += 128;
                 io.bytes_written += 256;
                 io.requests += 2;
             });
         }
+        let p = s.plane().unwrap();
         let snap = p.registry().snapshot();
         assert_eq!(
             snap.sample("artsparse_wal_bytes_total").unwrap().value,
@@ -288,19 +256,21 @@ mod tests {
     }
 
     #[test]
-    fn decorator_still_feeds_the_inner_recorder() {
-        let p = plane();
-        let t = Arc::new(TelemetryRecorder::new());
-        let inner: Arc<dyn Recorder> = t.clone();
-        let r: Arc<dyn Recorder> = Arc::new(ObservedRecorder::new(inner, Arc::clone(&p)));
+    fn a_sink_with_both_parts_feeds_report_and_plane() {
+        let s = Arc::new(SpanSink::new(
+            Some(DEFAULT_EVENT_CAPACITY),
+            Some(ObservabilityPlane::new(64, 0)),
+        ));
         {
-            let _s = Span::enter(&r, SpanKind::Read);
+            let _s = Span::enter(Some(&s), SpanKind::Read);
             charge(|io| io.bytes_fetched += 512);
         }
-        let report = t.report();
+        let report = s.report().unwrap();
         assert_eq!(report.totals.bytes_fetched, 512);
         assert_eq!(
-            p.registry()
+            s.plane()
+                .unwrap()
+                .registry()
                 .snapshot()
                 .sample("artsparse_bytes_fetched_total")
                 .unwrap()
@@ -311,13 +281,9 @@ mod tests {
 
     #[test]
     fn trouble_spans_produce_trace_correlated_events() {
-        let p = Arc::new(ObservabilityPlane::new(64, 1)); // 1ns: everything is slow
-        let r: Arc<dyn Recorder> = Arc::new(ObservedRecorder::new(
-            Arc::new(NoopRecorder),
-            Arc::clone(&p),
-        ));
+        let s = observed(1); // 1ns: everything is slow
         let trace = {
-            let _s = Span::enter(&r, SpanKind::Consolidate);
+            let _s = Span::enter(Some(&s), SpanKind::Consolidate);
             let trace = crate::span::current_trace_id();
             charge(|io| {
                 io.retries += 2;
@@ -326,7 +292,7 @@ mod tests {
             });
             trace
         };
-        let events = p.journal().drain_new();
+        let events = s.plane().unwrap().journal().drain_new();
         let codes: Vec<&str> = events.iter().map(|e| e.code).collect();
         assert!(codes.contains(&"slow_span"));
         assert!(codes.contains(&"retry"));
@@ -352,14 +318,11 @@ mod tests {
 
     #[test]
     fn read_amplification_derives_from_fetched_over_returned() {
-        let p = plane();
+        let s = observed(0);
+        let p = s.plane().unwrap();
         assert_eq!(p.read_amplification(), None);
-        let r: Arc<dyn Recorder> = Arc::new(ObservedRecorder::new(
-            Arc::new(NoopRecorder),
-            Arc::clone(&p),
-        ));
         {
-            let _s = Span::enter(&r, SpanKind::Read);
+            let _s = Span::enter(Some(&s), SpanKind::Read);
             charge(|io| io.bytes_fetched += 4096);
         }
         p.note_read_returned(1024);

@@ -268,7 +268,7 @@ pub struct MetricSample {
 }
 
 /// A point-in-time reading of the whole registry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RegistrySnapshot {
     /// 1-based snapshot sequence number.
     pub seq: u64,

@@ -6,7 +6,7 @@
 //! thread-local stack — no allocation, no locking, no recorder call until
 //! the span closes. On drop the span pops its frame, stamps it with a
 //! monotonic start/duration, and hands the finished [`SpanRecord`] to the
-//! [`Recorder`].
+//! [`SpanSink`].
 //!
 //! Two properties keep the accounting honest:
 //!
@@ -15,15 +15,15 @@
 //!   parents. Summing any one span kind therefore never double-counts,
 //!   and the sum over *all* kinds equals the global total.
 //! * **Per-thread stacks.** Every thread charges its own stack; the
-//!   recorder is the only cross-thread rendezvous. A fan-out worker runs
+//!   sink is the only cross-thread rendezvous. A fan-out worker runs
 //!   its share under a [`TraceContext`] captured on the calling thread
 //!   (see *Trace correlation*), so what it charges lands in the caller's
 //!   frame at join instead of being dropped. Nesting depth is
 //!   informational, not a tree encoding.
 //!
-//! When the recorder is disabled, [`Span::enter`] returns an inert guard
-//! and [`charge`] finds an empty stack: the whole layer reduces to one
-//! branch per call site.
+//! When there is no sink (`None`: every part off), [`Span::enter`]
+//! returns an inert guard and [`charge`] finds an empty stack: the whole
+//! layer reduces to one branch per call site.
 //!
 //! # Trace correlation
 //!
@@ -45,7 +45,7 @@
 //! frame at join (the storage crate's `par_map_traced` does exactly this
 //! around `par::par_map`).
 
-use crate::recorder::Recorder;
+use crate::sink::SpanSink;
 use serde::{Serialize, Value};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -284,7 +284,7 @@ impl IoStats {
     }
 }
 
-/// One finished span as delivered to the recorder.
+/// One finished span as delivered to the sink.
 #[derive(Debug, Clone, Serialize)]
 pub struct SpanRecord {
     /// What the span measured.
@@ -394,7 +394,7 @@ pub struct Span {
 }
 
 struct LiveSpan {
-    recorder: Arc<dyn Recorder>,
+    sink: Arc<SpanSink>,
     kind: SpanKind,
     trace_id: u64,
     start: Instant,
@@ -403,12 +403,12 @@ struct LiveSpan {
 }
 
 impl Span {
-    /// Open a span; inert (and free beyond one branch) when the recorder
-    /// is disabled.
-    pub fn enter(recorder: &Arc<dyn Recorder>, kind: SpanKind) -> Span {
-        if !recorder.enabled() {
+    /// Open a span reporting to `sink`; inert (and free beyond one
+    /// branch) when there is no sink.
+    pub fn enter(sink: Option<&Arc<SpanSink>>, kind: SpanKind) -> Span {
+        let Some(sink) = sink else {
             return Span { live: None };
-        }
+        };
         let depth = STACK.with(|stack| {
             let mut s = stack.borrow_mut();
             s.push(IoStats::default());
@@ -430,7 +430,7 @@ impl Span {
         let start_ns = start.duration_since(process_epoch()).as_nanos() as u64;
         Span {
             live: Some(LiveSpan {
-                recorder: Arc::clone(recorder),
+                sink: Arc::clone(sink),
                 kind,
                 trace_id,
                 start,
@@ -466,19 +466,17 @@ impl Drop for Span {
             depth: live.depth,
             io,
         };
-        live.recorder.record_span(&record);
+        live.sink.record_span(&record);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::TelemetryRecorder;
+    use crate::sink::DEFAULT_EVENT_CAPACITY;
 
-    fn telemetry() -> (Arc<TelemetryRecorder>, Arc<dyn Recorder>) {
-        let t = Arc::new(TelemetryRecorder::new());
-        let r: Arc<dyn Recorder> = t.clone();
-        (t, r)
+    fn telemetry() -> Arc<SpanSink> {
+        Arc::new(SpanSink::new(Some(DEFAULT_EVENT_CAPACITY), None))
     }
 
     #[test]
@@ -489,17 +487,17 @@ mod tests {
 
     #[test]
     fn span_collects_self_io_only() {
-        let (t, r) = telemetry();
+        let t = telemetry();
         {
-            let _outer = Span::enter(&r, SpanKind::Read);
+            let _outer = Span::enter(Some(&t), SpanKind::Read);
             charge(|io| io.bytes_requested += 10);
             {
-                let _inner = Span::enter(&r, SpanKind::ReadFetch);
+                let _inner = Span::enter(Some(&t), SpanKind::ReadFetch);
                 charge(|io| io.bytes_fetched += 512);
             }
             charge(|io| io.bytes_requested += 5);
         }
-        let report = t.report();
+        let report = t.report().unwrap();
         let read = report.span(SpanKind::Read).unwrap();
         let fetch = report.span(SpanKind::ReadFetch).unwrap();
         // The inner fetch's bytes did NOT propagate to the outer span.
@@ -512,12 +510,12 @@ mod tests {
 
     #[test]
     fn depth_tracks_nesting_per_thread() {
-        let (t, r) = telemetry();
+        let t = telemetry();
         {
-            let _outer = Span::enter(&r, SpanKind::Read);
-            let _inner = Span::enter(&r, SpanKind::ReadPlan);
+            let _outer = Span::enter(Some(&t), SpanKind::Read);
+            let _inner = Span::enter(Some(&t), SpanKind::ReadPlan);
         }
-        let events = t.report().events;
+        let events = t.report().unwrap().events;
         let plan = events
             .iter()
             .find(|e| e.kind == SpanKind::ReadPlan)
@@ -530,20 +528,20 @@ mod tests {
 
     #[test]
     fn worker_threads_record_at_depth_zero_and_aggregate() {
-        let (t, r) = telemetry();
+        let t = telemetry();
         {
-            let _outer = Span::enter(&r, SpanKind::Read);
+            let _outer = Span::enter(Some(&t), SpanKind::Read);
             std::thread::scope(|s| {
                 for _ in 0..4 {
-                    let r = &r;
+                    let t = Arc::clone(&t);
                     s.spawn(move || {
-                        let _fetch = Span::enter(r, SpanKind::ReadFetch);
+                        let _fetch = Span::enter(Some(&t), SpanKind::ReadFetch);
                         charge(|io| io.bytes_fetched += 1000);
                     });
                 }
             });
         }
-        let report = t.report();
+        let report = t.report().unwrap();
         let fetch = report.span(SpanKind::ReadFetch).unwrap();
         assert_eq!(fetch.count, 4);
         assert_eq!(fetch.io.bytes_fetched, 4000);
@@ -559,32 +557,31 @@ mod tests {
 
     #[test]
     fn disabled_recorder_yields_inert_spans_and_empty_stack() {
-        let r: Arc<dyn Recorder> = Arc::new(crate::recorder::NoopRecorder);
-        let span = Span::enter(&r, SpanKind::Write);
+        let span = Span::enter(None, SpanKind::Write);
         assert!(!span.is_recording());
         STACK.with(|s| assert!(s.borrow().is_empty()));
     }
 
     #[test]
     fn nested_spans_share_one_trace_and_sequential_ops_differ() {
-        let (t, r) = telemetry();
+        let t = telemetry();
         assert_eq!(current_trace_id(), 0, "no span open, no trace");
         {
-            let _outer = Span::enter(&r, SpanKind::Ingest);
+            let _outer = Span::enter(Some(&t), SpanKind::Ingest);
             let live = current_trace_id();
             assert_ne!(live, 0);
             {
-                let _wal = Span::enter(&r, SpanKind::IngestWal);
+                let _wal = Span::enter(Some(&t), SpanKind::IngestWal);
                 assert_eq!(current_trace_id(), live, "children join the trace");
-                let _flush = Span::enter(&r, SpanKind::IngestFlush);
+                let _flush = Span::enter(Some(&t), SpanKind::IngestFlush);
                 assert_eq!(current_trace_id(), live);
             }
         }
         assert_eq!(current_trace_id(), 0, "trace cleared when the op ends");
         {
-            let _next = Span::enter(&r, SpanKind::Consolidate);
+            let _next = Span::enter(Some(&t), SpanKind::Consolidate);
         }
-        let events = t.report().events;
+        let events = t.report().unwrap().events;
         let ingest_trace = events
             .iter()
             .find(|e| e.kind == SpanKind::Ingest)
@@ -606,20 +603,20 @@ mod tests {
 
     #[test]
     fn worker_threads_start_traces_of_their_own() {
-        let (t, r) = telemetry();
+        let t = telemetry();
         {
-            let _outer = Span::enter(&r, SpanKind::Read);
+            let _outer = Span::enter(Some(&t), SpanKind::Read);
             let main_trace = current_trace_id();
             std::thread::scope(|s| {
-                let r = &r;
+                let t = Arc::clone(&t);
                 s.spawn(move || {
-                    let _fetch = Span::enter(r, SpanKind::ReadFetch);
+                    let _fetch = Span::enter(Some(&t), SpanKind::ReadFetch);
                     assert_ne!(current_trace_id(), main_trace);
                     assert_ne!(current_trace_id(), 0);
                 });
             });
         }
-        let events = t.report().events;
+        let events = t.report().unwrap().events;
         let read = events.iter().find(|e| e.kind == SpanKind::Read).unwrap();
         let fetch = events
             .iter()
@@ -630,21 +627,21 @@ mod tests {
 
     #[test]
     fn adopted_context_charges_reach_the_callers_frame() {
-        let (t, r) = telemetry();
+        let t = telemetry();
         {
-            let _outer = Span::enter(&r, SpanKind::Read);
+            let _outer = Span::enter(Some(&t), SpanKind::Read);
             let main_trace = current_trace_id();
             let ctx = TraceContext::capture();
             let frames: Vec<IoStats> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..4)
                     .map(|_| {
-                        let r = &r;
+                        let t = Arc::clone(&t);
                         s.spawn(move || {
                             let ((), io) = ctx.adopt(|| {
                                 assert_eq!(current_trace_id(), main_trace);
                                 // Outside any worker span: the fresh frame.
                                 charge(|io| io.fragments_quarantined += 1);
-                                let _fetch = Span::enter(r, SpanKind::ReadFetch);
+                                let _fetch = Span::enter(Some(&t), SpanKind::ReadFetch);
                                 charge(|io| io.bytes_fetched += 1000);
                             });
                             assert_eq!(current_trace_id(), 0, "worker state restored");
@@ -663,7 +660,7 @@ mod tests {
                 }
             });
         }
-        let report = t.report();
+        let report = t.report().unwrap();
         let read = report.span(SpanKind::Read).unwrap();
         assert_eq!(read.io.fragments_quarantined, 5);
         assert_eq!(read.io.bytes_fetched, 0, "span self-IO stays with the span");

@@ -21,7 +21,7 @@ OPTIONS:
     --quota-bytes <N>           default per-tenant byte cap (0 = unlimited)
     --tenant-quota <T:P:B>      override for tenant T: P points, B bytes (repeatable)
     --metrics-out <DIR>         publish metrics.prom/metrics.jsonl/journal.jsonl into DIR
-    --export-interval-ms <N>    publisher cadence (default 500)
+    --export-interval-ms <N>    metrics exporter cadence (default 500)
     --max-batch-points <N>      largest accepted PUT/INGEST batch (default 1048576)
     --scan-limit <N>            largest SCAN region in cells (default 1048576)
     --no-scheduler              disable the per-dataset background flush/compact scheduler

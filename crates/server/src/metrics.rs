@@ -4,9 +4,9 @@
 //!
 //! All series carry the `artsparse_server_` prefix so they compose with
 //! the per-engine `artsparse_*` series in one Prometheus scrape. The
-//! `METRICS` protocol command and the on-disk publisher both render
-//! through [`ServerMetrics::render`], so the wire and the
-//! `metrics.prom` file never disagree about a sample.
+//! `METRICS` protocol command and the metrics exporter both read
+//! [`ServerMetrics::snapshot`], so the wire and the `metrics.prom` file
+//! never disagree about a sample.
 
 use crate::quota::QuotaBook;
 use artsparse_metrics::{
@@ -21,7 +21,7 @@ pub fn sanitize_tenant(tenant: &str) -> String {
 }
 
 /// The server's metrics plane. Shared by sessions, listeners, and the
-/// publisher thread.
+/// metrics exporter.
 #[derive(Debug)]
 pub struct ServerMetrics {
     registry: MetricsRegistry,
@@ -147,7 +147,7 @@ impl ServerMetrics {
     }
 
     /// Refresh derived series and take one registry snapshot. The
-    /// publisher uses this single snapshot for both `metrics.prom` and
+    /// exporter uses this single snapshot for both `metrics.prom` and
     /// the `metrics.jsonl` series so their delta baselines agree.
     pub fn snapshot(&self, quotas: &QuotaBook) -> artsparse_metrics::RegistrySnapshot {
         for (tenant, standing) in quotas.standings() {

@@ -189,7 +189,7 @@ impl QuotaBook {
     }
 
     /// Every tenant that has usage recorded, sorted, with standings —
-    /// what the metrics publisher samples into per-tenant gauges.
+    /// what the metrics exporter samples into per-tenant gauges.
     pub fn standings(&self) -> Vec<(String, QuotaStanding)> {
         let tenants: Vec<String> = {
             let usage = self.inner.usage.lock();

@@ -1,29 +1,30 @@
 //! The server: shard workers, socket listeners, session threads, the
-//! quota book, and the metrics publisher, assembled behind one handle.
+//! quota book, and the metrics exporter, assembled behind one handle.
 //!
 //! Topology: `N` shard threads own every [`artsparse_storage::StorageEngine`]
 //! (datasets hash onto shards by tenant-qualified name); one accept
 //! thread per listener (TCP, Unix) turns connections into session
-//! threads; an optional publisher thread mirrors the server's metrics
-//! into an exporter-compatible directory (`metrics.prom`,
-//! `metrics.jsonl`, `journal.jsonl`) so `artsparse-bench watch` works
-//! on a live server unchanged.
+//! threads; an optional [`MetricsExporter`] publishes the server's
+//! metrics into a directory (`metrics.prom`, `metrics.jsonl`,
+//! `journal.jsonl`) the same way it publishes an engine's, so
+//! `artsparse-bench watch` works on a live server unchanged.
 //!
 //! Shutdown ordering (see [`ServerHandle::shutdown`]): stop accepting →
 //! join sessions → drain every shard through `StorageEngine::shutdown`
-//! → join shard workers → final metrics publish. Acked ingest survives
-//! because drain group-commits the write buffers before the process
-//! lets go of the engines.
+//! → join shard workers → journal the closing events → the exporter's
+//! final tick. Acked ingest survives because drain group-commits the
+//! write buffers before the process lets go of the engines.
 
 use crate::metrics::ServerMetrics;
 use crate::quota::{Quota, QuotaBook};
 use crate::session::{run_session, Limits, SessionCtx};
 use crate::shard::{spawn_shard, ShardCmd, ShardReply};
+use artsparse_metrics::{JournalEvent, RegistrySnapshot};
 use artsparse_storage::{
-    EngineConfig, FsBackend, MemBackend, SchedulerConfig, StorageBackend, StorageError,
-    JOURNAL_JSONL, METRICS_JSONL, METRICS_PROM,
+    EngineConfig, ExportSource, FsBackend, MemBackend, MetricsExporter, SchedulerConfig,
+    StorageBackend, StorageError,
 };
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -95,11 +96,11 @@ pub struct ServerConfig {
     pub default_quota: Quota,
     /// Per-tenant quota overrides.
     pub tenant_quotas: Vec<(String, Quota)>,
-    /// Directory for the exporter-compatible metrics mirror
-    /// (`metrics.prom` / `metrics.jsonl` / `journal.jsonl`); `None`
-    /// publishes nothing (the `METRICS` command still works).
+    /// Directory the metrics exporter publishes into (`metrics.prom` /
+    /// `metrics.jsonl` / `journal.jsonl`); `None` publishes nothing (the
+    /// `METRICS` command still works).
     pub metrics_out: Option<PathBuf>,
-    /// Publisher cadence in milliseconds.
+    /// Exporter cadence in milliseconds.
     pub export_interval_ms: u64,
     /// Socket read timeout — the drain-flag polling cadence.
     pub session_read_timeout_ms: u64,
@@ -244,28 +245,15 @@ impl Server {
             });
         }
 
-        let publisher = match &config.metrics_out {
-            Some(dir) => {
-                std::fs::create_dir_all(dir)?;
-                let dir = dir.clone();
-                let metrics = Arc::clone(&metrics);
-                let quotas = quotas.clone();
-                let stop = Arc::clone(&stop);
-                let interval = Duration::from_millis(config.export_interval_ms.max(10));
-                Some(
-                    std::thread::Builder::new()
-                        .name("artsparse-publisher".into())
-                        .spawn(move || loop {
-                            let stopping = stop.load(Ordering::SeqCst);
-                            let _ = publish_tick(&dir, &metrics, &quotas);
-                            if stopping {
-                                return;
-                            }
-                            std::thread::park_timeout(interval);
-                        })
-                        .expect("spawning the metrics publisher thread"),
-                )
-            }
+        let exporter = match &config.metrics_out {
+            Some(dir) => Some(MetricsExporter::spawn_source(
+                Arc::new(Published {
+                    metrics: Arc::clone(&metrics),
+                    quotas: quotas.clone(),
+                }),
+                dir,
+                Duration::from_millis(config.export_interval_ms.max(10)),
+            )?),
             None => None,
         };
 
@@ -275,7 +263,7 @@ impl Server {
             shard_handles,
             accept_handles,
             session_handles,
-            publisher,
+            exporter,
             tcp_addr,
             unix_path,
             shutdown_rx,
@@ -384,38 +372,20 @@ fn unix_accept_loop(listener: &std::os::unix::net::UnixListener, ctx: &AcceptCtx
     }
 }
 
-/// Mirror the server metrics into an exporter-compatible directory:
-/// atomically replace `metrics.prom`, append one snapshot line to
-/// `metrics.jsonl`, append fresh journal events to `journal.jsonl`.
-fn publish_tick(dir: &Path, metrics: &ServerMetrics, quotas: &QuotaBook) -> std::io::Result<()> {
-    use std::fs::OpenOptions;
-    let snapshot = metrics.snapshot(quotas);
-    let prom = artsparse_metrics::exposition::render(&snapshot);
-    let tmp = dir.join(format!("{METRICS_PROM}.tmp"));
-    std::fs::write(&tmp, prom)?;
-    std::fs::rename(&tmp, dir.join(METRICS_PROM))?;
+/// The server's metrics as the exporter publishes them.
+struct Published {
+    metrics: Arc<ServerMetrics>,
+    quotas: QuotaBook,
+}
 
-    let mut series = OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(dir.join(METRICS_JSONL))?;
-    let line =
-        serde_json::to_string(&snapshot).map_err(|e| std::io::Error::other(e.to_string()))?;
-    writeln!(series, "{line}")?;
-
-    let events = metrics.journal.drain_new();
-    if !events.is_empty() {
-        let mut journal = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join(JOURNAL_JSONL))?;
-        for event in &events {
-            let line =
-                serde_json::to_string(event).map_err(|e| std::io::Error::other(e.to_string()))?;
-            writeln!(journal, "{line}")?;
-        }
+impl ExportSource for Published {
+    fn snapshot(&self) -> RegistrySnapshot {
+        self.metrics.snapshot(&self.quotas)
     }
-    Ok(())
+
+    fn drain_journal(&self) -> Vec<JournalEvent> {
+        self.metrics.journal.drain_new()
+    }
 }
 
 /// A running server. Dropping the handle drains and stops everything;
@@ -428,7 +398,7 @@ pub struct ServerHandle {
     shard_handles: Vec<std::thread::JoinHandle<()>>,
     accept_handles: Vec<std::thread::JoinHandle<()>>,
     session_handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    publisher: Option<std::thread::JoinHandle<()>>,
+    exporter: Option<MetricsExporter>,
     tcp_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
     shutdown_rx: Receiver<()>,
@@ -521,10 +491,6 @@ impl ServerHandle {
             let _ = h.join();
         }
 
-        if let Some(h) = self.publisher.take() {
-            h.thread().unpark();
-            let _ = h.join();
-        }
         if report.errors > 0 {
             self.metrics.journal_warn(
                 "drain_errors",
@@ -537,6 +503,10 @@ impl ServerHandle {
             format!("drained {} dataset(s)", report.datasets),
             0,
         );
+        // After the closing events, so the final tick publishes them.
+        if let Some(mut exporter) = self.exporter.take() {
+            exporter.shutdown();
+        }
         #[cfg(unix)]
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);

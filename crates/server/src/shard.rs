@@ -105,7 +105,7 @@ pub enum ShardCmd {
     /// one dataset.
     Stats {
         /// Restrict to this tenant's namespace (`None` = all, used by
-        /// the metrics publisher).
+        /// the metrics exporter).
         tenant: Option<String>,
         /// Restrict to one namespaced key.
         key: Option<String>,

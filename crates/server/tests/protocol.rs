@@ -412,6 +412,39 @@ fn metrics_command_exposes_server_series_over_the_wire() {
     handle.shutdown();
 }
 
+/// `metrics_out` publishes the closing state: the shutdown's journal
+/// events and the gauges after every session has left.
+#[cfg(unix)]
+#[test]
+fn shutdown_publishes_the_closing_journal_and_metrics() {
+    let dir = tempfile::tempdir().unwrap();
+    let socket = dir.path().join("artsparse.sock");
+    let out = dir.path().join("metrics");
+    let config = ServerConfig {
+        unix: Some(socket.clone()),
+        metrics_out: Some(out.clone()),
+        ..ServerConfig::default()
+    };
+    let mut handle = server(config);
+    let mut c = Client::unix(&socket);
+    c.send("HELLO t");
+    c.send("CREATE d 4x4");
+    assert!(c.send("PUT d 1\n0 0 1").starts_with("OK acked=1"));
+    assert_eq!(c.send("QUIT"), "OK bye");
+    let report = handle.shutdown();
+    assert_eq!((report.datasets, report.errors), (1, 0));
+
+    let journal = std::fs::read_to_string(out.join(artsparse_storage::JOURNAL_JSONL)).unwrap();
+    let last = journal.lines().last().expect("journal has events");
+    let event: serde_json::Value = serde_json::from_str(last).unwrap();
+    assert_eq!(event["code"].as_str(), Some("server_stopped"), "{journal}");
+
+    let prom = std::fs::read_to_string(out.join(artsparse_storage::METRICS_PROM)).unwrap();
+    let doc = artsparse_metrics::exposition::parse(&prom).expect("strict Prometheus parse");
+    assert_eq!(doc.value("artsparse_server_sessions_open"), Some(0.0));
+    assert!(prom.contains("artsparse_server_sessions_open 0"), "{prom}");
+}
+
 /// PROTOCOL.md is the spec; [`COMMANDS`] and [`ErrorCode::ALL`] are the
 /// implementation. This test pins them together: adding a command or an
 /// error code without documenting it fails CI, and vice versa the spec

@@ -42,9 +42,9 @@ use artsparse_core::advisor::recommend_from_stats;
 use artsparse_core::stats::SparsityStatsBuilder;
 use artsparse_core::{convert, FormatKind};
 use artsparse_metrics::{
-    charge, current_trace_id, now_ns, IoStats, NoopRecorder, ObservabilityPlane, ObservedRecorder,
-    OpCounter, PhaseTimer, Recorder, Severity, Span, SpanKind, SpanRecord, TelemetryRecorder,
-    TelemetryReport, WriteBreakdown, WritePhase,
+    charge, current_trace_id, now_ns, IoStats, ObservabilityPlane, OpCounter, PhaseTimer, Severity,
+    Span, SpanKind, SpanRecord, SpanSink, TelemetryReport, WriteBreakdown, WritePhase,
+    DEFAULT_EVENT_CAPACITY,
 };
 use artsparse_tensor::par;
 use artsparse_tensor::value::Element;
@@ -259,12 +259,13 @@ pub struct StorageEngine<B: StorageBackend> {
     config: EngineConfig,
     catalog: FragmentCatalog,
     cache: FragmentCache,
-    /// Span/IO sink. [`NoopRecorder`] unless `config.telemetry` was set
-    /// or [`StorageEngine::with_recorder`] installed a custom sink.
-    recorder: Arc<dyn Recorder>,
-    /// The aggregating recorder behind [`StorageEngine::telemetry_report`]
-    /// when `config.telemetry` is on.
-    telemetry: Option<Arc<TelemetryRecorder>>,
+    /// Span/IO sink: aggregating when `config.telemetry` is on (behind
+    /// [`StorageEngine::telemetry_report`]), with the live observability
+    /// plane (registry + journal, behind
+    /// [`StorageEngine::observability`]) when `config.observability` is
+    /// set. `None` when both are off: then no span opens and no registry
+    /// or journal call happens on any engine path.
+    sink: Option<Arc<SpanSink>>,
     /// What the most recent recovery pass (open or refresh) found.
     recovery: parking_lot::Mutex<RecoveryReport>,
     /// The streaming-ingest write buffer: acked batches awaiting a group
@@ -279,10 +280,6 @@ pub struct StorageEngine<B: StorageBackend> {
     /// (replay is order-preserving, see [`StorageEngine::replay_wal`]),
     /// it just wastes device bytes until retirement succeeds.
     wal_retire_queue: parking_lot::Mutex<Vec<String>>,
-    /// The live observability plane (registry + journal), present only
-    /// when `config.observability` was set — `None` means no registry or
-    /// journal call happens on any engine path.
-    plane: Option<Arc<ObservabilityPlane>>,
     /// Health of the background ingest scheduler, reported into
     /// [`StorageEngine::stats`] and the live registry.
     sched_health: SchedulerHealth,
@@ -455,27 +452,16 @@ impl<B: StorageBackend> StorageEngine<B> {
         elem_size: u32,
         config: EngineConfig,
     ) -> Result<Self> {
-        let telemetry = config.telemetry.then(|| Arc::new(TelemetryRecorder::new()));
-        let inner_recorder: Arc<dyn Recorder> = match &telemetry {
-            Some(t) => t.clone(),
-            None => Arc::new(NoopRecorder),
-        };
-        // The observability plane taps span traffic through a recorder
-        // decorator, so the inner (aggregating or no-op) recorder keeps
-        // working unchanged underneath it.
         let plane = config.observability.as_ref().map(|oc| {
-            Arc::new(ObservabilityPlane::new(
-                oc.journal_events,
-                oc.slow_span_ms.saturating_mul(1_000_000),
-            ))
+            ObservabilityPlane::new(oc.journal_events, oc.slow_span_ms.saturating_mul(1_000_000))
         });
-        let recorder: Arc<dyn Recorder> = match &plane {
-            Some(p) => Arc::new(ObservedRecorder::new(inner_recorder, Arc::clone(p))),
-            None => inner_recorder,
-        };
-        let backend = RecordingBackend::new(backend, recorder.clone());
+        let sink = (config.telemetry || plane.is_some()).then(|| {
+            let aggregate = config.telemetry.then_some(DEFAULT_EVENT_CAPACITY);
+            Arc::new(SpanSink::new(aggregate, plane))
+        });
+        let backend = RecordingBackend::new(backend, sink.clone());
 
-        let span = Span::enter(&recorder, SpanKind::Recover);
+        let span = Span::enter(sink.as_ref(), SpanKind::Recover);
         let mut recovery = recover_store(&backend, None)?;
         let epoch = claim_epoch(&backend)?;
         // Count this engine's own claim among the live markers.
@@ -507,13 +493,11 @@ impl<B: StorageBackend> StorageEngine<B> {
             config,
             catalog,
             cache,
-            recorder,
-            telemetry,
+            sink,
             recovery: parking_lot::Mutex::new(recovery),
             buffer: crate::buffer::WriteBuffer::new(),
             flush_lock: parking_lot::Mutex::new(()),
             wal_retire_queue: parking_lot::Mutex::new(Vec::new()),
-            plane,
             sched_health: SchedulerHealth::default(),
             health: WriteHealth::default(),
             wal_backlog: parking_lot::Mutex::new(WalBacklog::default()),
@@ -581,27 +565,16 @@ impl<B: StorageBackend> StorageEngine<B> {
         self.backend.into_inner()
     }
 
-    /// The active span/IO recorder (a [`NoopRecorder`] unless telemetry
-    /// is on or a custom sink was installed).
-    pub fn recorder(&self) -> &Arc<dyn Recorder> {
-        &self.recorder
-    }
-
-    /// Install a custom span/IO sink (replacing any recorder installed by
-    /// `config.telemetry`, so [`StorageEngine::telemetry_report`] returns
-    /// `None` afterwards).
-    pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.backend.set_recorder(recorder.clone());
-        self.recorder = recorder;
-        self.telemetry = None;
-        self
+    /// Open a span of `kind` on this engine's sink (inert without one).
+    pub(crate) fn span(&self, kind: SpanKind) -> Span {
+        Span::enter(self.sink.as_ref(), kind)
     }
 
     /// Snapshot the aggregated telemetry (spans, histograms, I/O totals,
     /// per-backend op timings). `None` unless the engine was opened with
     /// `config.telemetry` on.
     pub fn telemetry_report(&self) -> Option<TelemetryReport> {
-        self.telemetry.as_ref().map(|t| t.report())
+        self.sink.as_ref()?.report()
     }
 
     /// What the most recent recovery pass (open or refresh) found on the
@@ -612,8 +585,8 @@ impl<B: StorageBackend> StorageEngine<B> {
 
     /// The live observability plane, when `config.observability` was set
     /// at open. `None` means the plane is off and nothing is collected.
-    pub fn observability(&self) -> Option<&Arc<ObservabilityPlane>> {
-        self.plane.as_ref()
+    pub fn observability(&self) -> Option<&ObservabilityPlane> {
+        self.sink.as_ref()?.plane()
     }
 
     /// Sample every live gauge into the observability registry: write
@@ -626,7 +599,9 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// should too — counters update live from span traffic, but gauges
     /// are point-in-time readings only this method refreshes.
     pub fn observe(&self) {
-        let Some(plane) = &self.plane else { return };
+        let Some(plane) = self.observability() else {
+            return;
+        };
         let reg = plane.registry();
 
         let buf = self.buffer.stats();
@@ -762,7 +737,7 @@ impl<B: StorageBackend> StorageEngine<B> {
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
         *self.sched_health.last_error.lock() = Some((message.clone(), at_ms));
-        if let Some(plane) = &self.plane {
+        if let Some(plane) = self.observability() {
             plane.event(
                 Severity::Error,
                 "scheduler_error",
@@ -804,7 +779,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         self.health.consecutive_failures.store(0, Ordering::SeqCst);
         let prev = self.health.state.swap(0, Ordering::SeqCst);
         if prev != 0 {
-            if let Some(plane) = &self.plane {
+            if let Some(plane) = self.observability() {
                 plane.event(
                     Severity::Info,
                     "health_transition",
@@ -841,7 +816,7 @@ impl<B: StorageBackend> StorageEngine<B> {
             self.health
                 .state
                 .store(target.gauge_value() as u32, Ordering::SeqCst);
-            if let Some(plane) = &self.plane {
+            if let Some(plane) = self.observability() {
                 let severity = match target {
                     HealthState::ReadOnly => Severity::Error,
                     _ => Severity::Warn,
@@ -941,7 +916,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         }
         if !self.buffer.try_reserve(incoming, cap) {
             if !self.health.shed_buffer.swap(true, Ordering::SeqCst) {
-                if let Some(plane) = &self.plane {
+                if let Some(plane) = self.observability() {
                     plane.event(
                         Severity::Warn,
                         "backpressure",
@@ -988,7 +963,7 @@ impl<B: StorageBackend> StorageEngine<B> {
             }
             if backlog.total.saturating_add(len) > cap {
                 if !self.health.shed_wal.swap(true, Ordering::SeqCst) {
-                    if let Some(plane) = &self.plane {
+                    if let Some(plane) = self.observability() {
                         plane.event(
                             Severity::Warn,
                             "backpressure",
@@ -1062,7 +1037,7 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// while sparing staging blobs of commits in flight in this engine.
     /// The id sequence advances past any newly discovered fragments.
     pub fn refresh(&self) -> Result<()> {
-        let span = Span::enter(&self.recorder, SpanKind::Recover);
+        let span = self.span(SpanKind::Recover);
         let keep = self.inflight.lock().clone();
         // The listing already contains this engine's own epoch marker.
         let recovery = recover_store(&self.backend, Some(&keep))?;
@@ -1094,9 +1069,9 @@ impl<B: StorageBackend> StorageEngine<B> {
         if report.tasks_spawned > 0 {
             charge(|io| io.par_tasks_spawned += report.tasks_spawned);
         }
-        if self.recorder.enabled() {
+        if let Some(sink) = &self.sink {
             for shard in &report.shards {
-                self.recorder.record_span(&SpanRecord {
+                sink.record_span(&SpanRecord {
                     kind: SpanKind::ParShard,
                     trace_id: current_trace_id(),
                     start_ns: op_start + shard.start_offset_ns,
@@ -1150,7 +1125,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         sources: Option<&[String]>,
         presorted: bool,
     ) -> Result<WriteReport> {
-        let _span = Span::enter(&self.recorder, SpanKind::Write);
+        let _span = self.span(SpanKind::Write);
         let mut timer = PhaseTimer::new();
 
         // -- Others: validation and metadata ---------------------------
@@ -1168,7 +1143,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         }
         let bbox = coords.bounding_box();
 
-        let encode_span = Span::enter(&self.recorder, SpanKind::WriteEncode);
+        let encode_span = self.span(SpanKind::WriteEncode);
 
         // -- Build: construct the organization -------------------------
         let built = timer.time(WritePhase::Build, || {
@@ -1269,7 +1244,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         force_staged: bool,
     ) -> Result<()> {
         if self.config.commit_mode == crate::config::CommitMode::Direct && !force_staged {
-            let _commit = Span::enter(&self.recorder, SpanKind::WriteCommit);
+            let _commit = self.span(SpanKind::WriteCommit);
             let outcome = self.with_write_retries(name, || self.backend.put_atomic(name, frag));
             match &outcome {
                 Ok(()) => self.note_write_success(),
@@ -1281,25 +1256,22 @@ impl<B: StorageBackend> StorageEngine<B> {
         self.inflight.lock().insert(staged.clone());
         let commit = (|| -> Result<()> {
             {
-                let _stage = Span::enter(&self.recorder, SpanKind::WriteStage);
+                let _stage = self.span(SpanKind::WriteStage);
                 self.with_write_retries(&staged, || self.backend.put(&staged, frag))?;
             }
             if let Some(body) = tombstone {
                 // The delete set must be durable *before* the commit:
                 // a crash right after the rename must still delete the
                 // sources, or the store doubles its points.
-                let _tomb = Span::enter(&self.recorder, SpanKind::ConsolidateTombstone);
+                let _tomb = self.span(SpanKind::ConsolidateTombstone);
                 let tomb = tombstone_name(name);
                 self.with_write_retries(&tomb, || self.backend.put_atomic(&tomb, body.as_bytes()))?;
             }
-            let _commit = Span::enter(
-                &self.recorder,
-                if force_staged {
-                    SpanKind::ConsolidateCommit
-                } else {
-                    SpanKind::WriteCommit
-                },
-            );
+            let _commit = self.span(if force_staged {
+                SpanKind::ConsolidateCommit
+            } else {
+                SpanKind::WriteCommit
+            });
             self.with_write_retries(name, || self.backend.rename(&staged, name))
         })();
         self.inflight.lock().remove(&staged);
@@ -1356,7 +1328,7 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// of `elem_size`-byte records, one per point, like
     /// [`StorageEngine::write`].
     pub fn ingest(&self, coords: &CoordBuffer, values: &[u8]) -> Result<usize> {
-        let _span = Span::enter(&self.recorder, SpanKind::Ingest);
+        let _span = self.span(SpanKind::Ingest);
         coords.check_against(&self.shape)?;
         if values.len() != coords.len() * self.elem_size as usize {
             return Err(StorageError::Mismatch {
@@ -1409,7 +1381,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         if !self.config.ingest.wal {
             return Ok(None);
         }
-        let _wal_span = Span::enter(&self.recorder, SpanKind::IngestWal);
+        let _wal_span = self.span(SpanKind::IngestWal);
         let blob =
             crate::wal::encode_record(self.shape.ndim(), self.elem_size as usize, flat, values)?;
         // The WAL draws from the same id sequence as fragments, so
@@ -1459,7 +1431,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         if snapshot.is_empty() {
             return Ok(None);
         }
-        let _span = Span::enter(&self.recorder, SpanKind::IngestFlush);
+        let _span = self.span(SpanKind::IngestFlush);
         let mut coords = CoordBuffer::with_capacity(self.shape.ndim(), snapshot.len());
         let mut payload = Vec::with_capacity(snapshot.len() * self.elem_size as usize);
         // The snapshot is deduplicated (the latest append per address
@@ -1573,7 +1545,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         if wals.is_empty() && torn.is_empty() {
             return Ok(());
         }
-        let _span = Span::enter(&self.recorder, SpanKind::IngestReplay);
+        let _span = self.span(SpanKind::IngestReplay);
         // Ack order: epoch-major (each crash/reopen cycle claims a fresh
         // epoch), sequence-minor within one engine's run.
         wals.sort();
@@ -1650,7 +1622,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         if queries.is_empty() {
             return Ok(result);
         }
-        let _span = Span::enter(&self.recorder, SpanKind::Read);
+        let _span = self.span(SpanKind::Read);
         // Snapshot the write buffer BEFORE the catalog plan. A group
         // commit racing this read moves buffered points into a fragment
         // and drains the buffer; snapshotting first means such points
@@ -1675,7 +1647,7 @@ impl<B: StorageBackend> StorageEngine<B> {
             // Plan: in-memory discovery + bbox pruning. Every scanned
             // fragment must describe the same tensor this engine stores.
             let plan = {
-                let _plan_span = Span::enter(&self.recorder, SpanKind::ReadPlan);
+                let _plan_span = self.span(SpanKind::ReadPlan);
                 for entry in self.catalog.snapshot() {
                     self.check_entry_shape(&entry)?;
                 }
@@ -1723,7 +1695,7 @@ impl<B: StorageBackend> StorageEngine<B> {
 
             // Merge: sort by linear address (stable: fragment order on
             // ties).
-            let _merge_span = Span::enter(&self.recorder, SpanKind::ReadMerge);
+            let _merge_span = self.span(SpanKind::ReadMerge);
             let mut quarantined = plan.quarantined.clone();
             for outcome in per_fragment {
                 match outcome {
@@ -1767,7 +1739,7 @@ impl<B: StorageBackend> StorageEngine<B> {
             result.hits.sort_by_key(|a| a.addr);
             break;
         }
-        if let Some(plane) = &self.plane {
+        if let Some(plane) = self.observability() {
             // Denominator of the derived read-amplification gauge.
             plane.note_read_returned(result.hits.iter().map(|h| h.value.len() as u64).sum());
         }
@@ -1853,11 +1825,11 @@ impl<B: StorageBackend> StorageEngine<B> {
     fn read_fragment(&self, entry: &CatalogEntry, queries: &CoordBuffer) -> Result<Vec<ReadHit>> {
         let name = &entry.name;
         let cached = {
-            let _fetch = Span::enter(&self.recorder, SpanKind::ReadFetch);
+            let _fetch = self.span(SpanKind::ReadFetch);
             self.cache.get(name)
         };
         if let Some(decoded) = cached {
-            let _decode = Span::enter(&self.recorder, SpanKind::ReadDecode);
+            let _decode = self.span(SpanKind::ReadDecode);
             return self.hits_from_payload(
                 name,
                 &decoded.meta,
@@ -1869,10 +1841,10 @@ impl<B: StorageBackend> StorageEngine<B> {
         if self.cache.is_enabled() {
             // Decode the whole fragment once so the next read is free.
             let decoded = {
-                let _fetch = Span::enter(&self.recorder, SpanKind::ReadFetch);
+                let _fetch = self.span(SpanKind::ReadFetch);
                 self.fetch_decoded(entry)?
             };
-            let _decode = Span::enter(&self.recorder, SpanKind::ReadDecode);
+            let _decode = self.span(SpanKind::ReadDecode);
             return self.hits_from_payload(
                 name,
                 &decoded.meta,
@@ -1886,13 +1858,13 @@ impl<B: StorageBackend> StorageEngine<B> {
             // may be a torn or flaky transfer, so the re-attempt must
             // re-fetch the bytes, not re-decode the same buffer.
             let (meta, index, values) = {
-                let _fetch = Span::enter(&self.recorder, SpanKind::ReadFetch);
+                let _fetch = self.span(SpanKind::ReadFetch);
                 self.with_read_retries(name, || {
                     let bytes = self.backend.get(name)?;
                     decode_fragment(name, &bytes)
                 })?
             };
-            let _decode = Span::enter(&self.recorder, SpanKind::ReadDecode);
+            let _decode = self.span(SpanKind::ReadDecode);
             return self.hits_from_payload(name, &meta, &index, &values, queries);
         }
 
@@ -1900,11 +1872,11 @@ impl<B: StorageBackend> StorageEngine<B> {
         // matched.
         let meta = &entry.meta;
         let index = {
-            let _fetch = Span::enter(&self.recorder, SpanKind::ReadFetch);
+            let _fetch = self.span(SpanKind::ReadFetch);
             self.fetch_validated_index(entry)?
         };
         let matched: Vec<(usize, u64)> = {
-            let _decode = Span::enter(&self.recorder, SpanKind::ReadDecode);
+            let _decode = self.span(SpanKind::ReadDecode);
             let org = meta.kind.create();
             let slots = self.observed_parallel(|| org.read(&index, queries, &self.counter))?;
             slots
@@ -1929,7 +1901,7 @@ impl<B: StorageBackend> StorageEngine<B> {
             }
         }
         let records = {
-            let _fetch = Span::enter(&self.recorder, SpanKind::ReadFetch);
+            let _fetch = self.span(SpanKind::ReadFetch);
             self.fetch_value_records(entry, &matched)?
         };
         let mut hits = Vec::with_capacity(matched.len());
@@ -2344,10 +2316,10 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// damaged; fragments that vanish mid-scrub (concurrent delete or
     /// consolidation) are skipped.
     pub fn scrub(&self) -> Result<ScrubReport> {
-        let _span = Span::enter(&self.recorder, SpanKind::Scrub);
+        let _span = self.span(SpanKind::Scrub);
         let mut report = ScrubReport::default();
         for entry in self.catalog.snapshot_all() {
-            let _frag = Span::enter(&self.recorder, SpanKind::ScrubFragment);
+            let _frag = self.span(SpanKind::ScrubFragment);
             match self.scrub_fragment(&entry) {
                 Ok(Some(legacy)) => {
                     report.fragments_checked += 1;
@@ -2559,7 +2531,7 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// sources), so a fragment written concurrently while the pass ran
     /// keeps precedence over the merged output instead of being shadowed.
     pub fn consolidate(&self) -> Result<ConsolidateReport> {
-        let _span = Span::enter(&self.recorder, SpanKind::Consolidate);
+        let _span = self.span(SpanKind::Consolidate);
         // Buffered ingests belong in the merge: group-commit them first
         // so the pass sees them as an ordinary source fragment (a no-op
         // when the buffer is empty).
@@ -2568,7 +2540,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         // ONE snapshot drives everything below: the merge input, the new
         // fragment's identity, and the delete set. Fragments written
         // after this point are untouched and outrank the merged output.
-        let snapshot_span = Span::enter(&self.recorder, SpanKind::ConsolidateSnapshot);
+        let snapshot_span = self.span(SpanKind::ConsolidateSnapshot);
         let snapshot = self.catalog.snapshot();
         let before_bytes: u64 = snapshot.iter().map(|e| e.size).sum();
         if snapshot.len() <= 1 {
@@ -2601,7 +2573,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         id.cgen += 1;
         drop(snapshot_span);
 
-        let merge_span = Span::enter(&self.recorder, SpanKind::ConsolidateMerge);
+        let merge_span = self.span(SpanKind::ConsolidateMerge);
         let merged = self.merged_points_from(&snapshot)?;
         let mut coords = CoordBuffer::with_capacity(self.shape.ndim(), merged.len());
         let mut payload = Vec::with_capacity(merged.len() * self.elem_size as usize);
@@ -2624,7 +2596,7 @@ impl<B: StorageBackend> StorageEngine<B> {
 
         let target = match (self.config.adaptive_reorg.as_ref(), characterize) {
             (Some(ad), Some(builder)) => {
-                let _advise = Span::enter(&self.recorder, SpanKind::ConsolidateAdvise);
+                let _advise = self.span(SpanKind::ConsolidateAdvise);
                 let target = ad.pin.unwrap_or_else(|| {
                     recommend_from_stats(
                         &builder.finish(),
@@ -2646,11 +2618,11 @@ impl<B: StorageBackend> StorageEngine<B> {
             .config
             .adaptive_reorg
             .as_ref()
-            .map(|_| Span::enter(&self.recorder, SpanKind::ConsolidateConvert));
+            .map(|_| self.span(SpanKind::ConsolidateConvert));
         let report = self.write_with(target, &coords, &payload, Some(id), Some(&sources), true)?;
         drop(convert_span);
 
-        let _sweep_span = Span::enter(&self.recorder, SpanKind::ConsolidateSweep);
+        let _sweep_span = self.span(SpanKind::ConsolidateSweep);
         // The commit landed: from here the tombstone guarantees the
         // deletions happen even if this process dies mid-loop. A source
         // already gone (racing deleter, replayed tombstone) is fine.
@@ -2702,7 +2674,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         }
         let decoded = self.fetch_decoded(entry)?;
 
-        let advise_span = Span::enter(&self.recorder, SpanKind::ConsolidateAdvise);
+        let advise_span = self.span(SpanKind::ConsolidateAdvise);
         let target = match ad.pin {
             Some(pin) => pin,
             None => {
@@ -2740,7 +2712,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         };
         let name = format_fragment_name(id);
 
-        let convert_span = Span::enter(&self.recorder, SpanKind::ConsolidateConvert);
+        let convert_span = self.span(SpanKind::ConsolidateConvert);
         let conv = self.observed_parallel(|| {
             convert::convert(
                 decoded.meta.kind,
@@ -2788,7 +2760,7 @@ impl<B: StorageBackend> StorageEngine<B> {
             size: frag.len() as u64,
         });
 
-        let _sweep = Span::enter(&self.recorder, SpanKind::ConsolidateSweep);
+        let _sweep = self.span(SpanKind::ConsolidateSweep);
         self.catalog.remove(&entry.name);
         self.cache.invalidate(&entry.name);
         match self.with_write_retries(&entry.name, || self.backend.delete(&entry.name)) {
@@ -4001,7 +3973,7 @@ mod tests {
     fn read_amplification_gauge_derives_from_reads() {
         let e = observed_engine();
         e.write_points::<f64>(&coords(&[[1, 1]]), &[1.0]).unwrap();
-        let plane = Arc::clone(e.observability().unwrap());
+        let plane = e.observability().unwrap();
         assert_eq!(plane.read_amplification(), None, "no read returned yet");
         e.read_values::<f64>(&coords(&[[1, 1]])).unwrap();
         // A cold point read fetches index + value sections to return one
@@ -4018,10 +3990,19 @@ mod tests {
 
     #[test]
     fn engine_op_span_trees_share_one_trace_id() {
-        let recording = Arc::new(artsparse_metrics::TelemetryRecorder::new());
-        let e = observed_engine().with_recorder(recording.clone());
+        // Both switches on: the aggregated report keeps the raw events.
+        let e = StorageEngine::open_with(
+            MemBackend::new(),
+            FormatKind::Coo,
+            Shape::new(vec![16, 16]).unwrap(),
+            8,
+            EngineConfig::default()
+                .with_telemetry(true)
+                .with_observability(crate::config::ObservabilityConfig::default()),
+        )
+        .unwrap();
         e.ingest_points::<f64>(&coords(&[[1, 1]]), &[1.0]).unwrap();
-        let events = recording.report().events;
+        let events = e.telemetry_report().unwrap().events;
         // ingest → WAL append: one tree, one trace.
         let ingest: Vec<_> = events
             .iter()
@@ -4033,7 +4014,7 @@ mod tests {
 
         e.write_points::<f64>(&coords(&[[2, 2]]), &[2.0]).unwrap();
         e.consolidate().unwrap();
-        let events = recording.report().events;
+        let events = e.telemetry_report().unwrap().events;
         // The consolidate tree (snapshot/merge/write/commit/sweep all
         // nested under engine.consolidate) shares the root's trace id,
         // and it differs from the ingest trace.

@@ -1,20 +1,23 @@
-//! Continuous metrics exporter: the background thread that turns the
-//! in-memory observability plane into files other processes can tail.
+//! Continuous metrics exporter: the background thread that turns an
+//! in-memory registry and journal into files other processes can tail.
 //!
-//! Each tick the [`MetricsExporter`]:
+//! The exporter publishes any [`ExportSource`]: an engine's
+//! observability plane ([`MetricsExporter::spawn`]) or the server's
+//! process-wide metrics, through [`MetricsExporter::spawn_source`]. Each
+//! tick the [`MetricsExporter`]:
 //!
-//! 1. asks the engine to [`observe`](crate::engine::StorageEngine::observe)
-//!    — refreshing every point-in-time gauge (buffer occupancy, WAL
-//!    backlog, fragment tiers, cache, scheduler health, read
-//!    amplification);
-//! 2. takes one registry snapshot (advancing the delta baseline) and
-//!    publishes it twice: as Prometheus exposition text at
+//! 1. asks the source for one registry snapshot — an engine first
+//!    [`observe`](crate::engine::StorageEngine::observe)s, refreshing
+//!    every point-in-time gauge (buffer occupancy, WAL backlog, fragment
+//!    tiers, cache, scheduler health, read amplification) — which
+//!    advances the delta baseline;
+//! 2. publishes that snapshot twice: as Prometheus exposition text at
 //!    `<dir>/metrics.prom` — written to a temp file and atomically
 //!    renamed into place, so a scraper or the harness `watch` dashboard
 //!    never reads a torn document — and as one JSONL line appended to
 //!    `<dir>/metrics.jsonl` (the durable time series);
-//! 3. drains the journal's new events — each exactly once, via the
-//!    journal's cursor — appending them to `<dir>/journal.jsonl`.
+//! 3. drains the source's new journal events — each exactly once, via
+//!    the journal's cursor — appending them to `<dir>/journal.jsonl`.
 //!
 //! Like [`IngestScheduler`](crate::scheduler::IngestScheduler), the
 //! exporter owns one thread, parks between ticks so shutdown interrupts
@@ -27,7 +30,7 @@
 use crate::backend::StorageBackend;
 use crate::engine::StorageEngine;
 use crate::error::{Result, StorageError};
-use artsparse_metrics::exposition;
+use artsparse_metrics::{exposition, JournalEvent, RegistrySnapshot};
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -51,7 +54,33 @@ pub struct ExporterStats {
     pub errors: u64,
 }
 
-#[derive(Default)]
+/// What a [`MetricsExporter`] publishes each tick.
+pub trait ExportSource: Send + Sync + 'static {
+    /// Refresh derived series and take one registry snapshot.
+    fn snapshot(&self) -> RegistrySnapshot;
+    /// The journal events recorded since the last drain, each returned
+    /// exactly once.
+    fn drain_journal(&self) -> Vec<JournalEvent>;
+}
+
+/// An engine publishes its observability plane; without one (rejected
+/// by [`MetricsExporter::spawn`]) it has nothing to publish.
+impl<B: StorageBackend + Send + Sync + 'static> ExportSource for StorageEngine<B> {
+    fn snapshot(&self) -> RegistrySnapshot {
+        self.observe();
+        self.observability()
+            .map(|plane| plane.registry().snapshot())
+            .unwrap_or_default()
+    }
+
+    fn drain_journal(&self) -> Vec<JournalEvent> {
+        self.observability()
+            .map(|plane| plane.journal().drain_new())
+            .unwrap_or_default()
+    }
+}
+
+#[derive(Debug, Default)]
 struct Shared {
     stop: AtomicBool,
     ticks: AtomicU64,
@@ -60,6 +89,7 @@ struct Shared {
 
 /// Handle to the background exporter thread. Dropping it shuts the
 /// thread down cleanly (one final tick, then joined).
+#[derive(Debug)]
 pub struct MetricsExporter {
     shared: Arc<Shared>,
     handle: Option<std::thread::JoinHandle<()>>,
@@ -79,26 +109,32 @@ impl MetricsExporter {
     where
         B: StorageBackend + Send + Sync + 'static,
     {
-        let dir = dir.into();
-        if engine.observability().is_none() {
+        let Some(oc) = &engine.config().observability else {
             return Err(StorageError::Mismatch {
                 reason: "metrics exporter needs an engine opened with \
                          EngineConfig::observability set"
                     .to_string(),
             });
-        }
+        };
+        let interval = Duration::from_millis(oc.export_interval_ms.max(1));
+        Self::spawn_source(engine, dir, interval)
+    }
+
+    /// Spawn the exporter over any [`ExportSource`], publishing into
+    /// `dir` (created if missing) every `interval`. Fails only if `dir`
+    /// cannot be created.
+    pub fn spawn_source<S: ExportSource>(
+        source: Arc<S>,
+        dir: impl Into<PathBuf>,
+        interval: Duration,
+    ) -> Result<MetricsExporter> {
+        let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let interval = engine
-            .config()
-            .observability
-            .as_ref()
-            .map(|oc| oc.export_interval_ms.max(1))
-            .unwrap_or(500);
         let shared = Arc::new(Shared::default());
         let worker = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("artsparse-metrics-exporter".into())
-            .spawn(move || exporter_loop(&engine, &dir, Duration::from_millis(interval), &worker))
+            .spawn(move || exporter_loop(&*source, &dir, interval, &worker))
             .expect("spawning the exporter thread");
         Ok(MetricsExporter {
             shared,
@@ -132,15 +168,10 @@ impl Drop for MetricsExporter {
     }
 }
 
-fn exporter_loop<B: StorageBackend + Send + Sync>(
-    engine: &StorageEngine<B>,
-    dir: &Path,
-    interval: Duration,
-    shared: &Shared,
-) {
+fn exporter_loop(source: &impl ExportSource, dir: &Path, interval: Duration, shared: &Shared) {
     loop {
         let stopping = shared.stop.load(Ordering::SeqCst);
-        match export_tick(engine, dir) {
+        match export_tick(source, dir) {
             Ok(()) => {
                 shared.ticks.fetch_add(1, Ordering::Relaxed);
             }
@@ -155,16 +186,9 @@ fn exporter_loop<B: StorageBackend + Send + Sync>(
     }
 }
 
-/// One export pass: refresh gauges, snapshot, publish, drain.
-fn export_tick<B: StorageBackend + Send + Sync>(
-    engine: &StorageEngine<B>,
-    dir: &std::path::Path,
-) -> std::io::Result<()> {
-    let plane = engine
-        .observability()
-        .expect("spawn() rejected engines without a plane");
-    engine.observe();
-    let snapshot = plane.registry().snapshot();
+/// One export pass: snapshot, publish, drain.
+fn export_tick(source: &impl ExportSource, dir: &Path) -> std::io::Result<()> {
+    let snapshot = source.snapshot();
 
     // Atomic publish: scrapers see the old document or the new one,
     // never a torn write.
@@ -181,7 +205,7 @@ fn export_tick<B: StorageBackend + Send + Sync>(
         serde_json::to_string(&snapshot).map_err(|e| std::io::Error::other(e.to_string()))?;
     writeln!(metrics, "{line}")?;
 
-    let events = plane.journal().drain_new();
+    let events = source.drain_journal();
     if !events.is_empty() {
         let mut journal = OpenOptions::new()
             .create(true)
@@ -286,8 +310,7 @@ mod tests {
     fn journal_events_are_exported_exactly_once() {
         let engine = observed_engine();
         let dir = tempfile::tempdir().unwrap();
-        let plane = Arc::clone(engine.observability().unwrap());
-        plane.event(
+        engine.observability().unwrap().event(
             artsparse_metrics::Severity::Warn,
             "slow_span",
             "synthetic event".to_string(),

@@ -37,10 +37,11 @@
 //! * [`scheduler`] — the background thread that flushes stale buffers and
 //!   triggers size-tiered consolidation, rate-limited, with clean
 //!   shutdown;
-//! * [`exporter`] — the background thread of the live observability
-//!   plane: it samples the engine's gauges, publishes Prometheus-text
-//!   exposition (atomic rename) plus a JSONL snapshot series, and drains
-//!   the trace-correlated event journal to `journal.jsonl`.
+//! * [`exporter`] — the one metrics publisher: a background thread that
+//!   samples the engine's gauges (or any other [`ExportSource`], such as
+//!   the server's metrics), publishes Prometheus-text exposition (atomic
+//!   rename) plus a JSONL snapshot series, and drains the
+//!   trace-correlated event journal to `journal.jsonl`.
 
 #![warn(missing_docs)]
 
@@ -75,7 +76,9 @@ pub use engine::{
     ScrubReport, StorageEngine, StoreStats, WriteReport, BUFFER_FRAGMENT,
 };
 pub use error::{FragmentSection, Result, StorageError};
-pub use exporter::{ExporterStats, MetricsExporter, JOURNAL_JSONL, METRICS_JSONL, METRICS_PROM};
+pub use exporter::{
+    ExportSource, ExporterStats, MetricsExporter, JOURNAL_JSONL, METRICS_JSONL, METRICS_PROM,
+};
 pub use faults::{injected_fault, FailingBackend, InjectedFault};
 pub use fragment::FragmentChecksums;
 pub use integrity::{crc32c, Crc32c};

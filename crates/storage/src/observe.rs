@@ -1,26 +1,26 @@
 //! Telemetry instrumentation for storage devices.
 //!
-//! [`RecordingBackend`] wraps any [`StorageBackend`] and, when its
-//! recorder is enabled, times every device operation and charges the
-//! moved bytes to the innermost open span on the calling thread (see
+//! [`RecordingBackend`] wraps any [`StorageBackend`] and, when it has a
+//! [`SpanSink`], times every device operation and charges the moved
+//! bytes to the innermost open span on the calling thread (see
 //! `artsparse_metrics::span`). The engine stores its device inside this
 //! wrapper so every existing `self.backend.…` call site is instrumented
-//! without per-call-site changes. With the default
-//! [`NoopRecorder`](artsparse_metrics::NoopRecorder) the wrapper is a
-//! cached-bool check plus a direct delegate — effectively free.
+//! without per-call-site changes. Without a sink (telemetry and the
+//! observability plane both off) the wrapper is one `Option` check plus
+//! a direct delegate — effectively free.
 //!
 //! `par_map_traced` is the storage layer's fan-out: `par::par_map`
 //! whose workers stay inside the calling thread's trace.
 
 use crate::backend::StorageBackend;
 use crate::error::Result;
-use artsparse_metrics::{charge, IoStats, Recorder, TraceContext};
+use artsparse_metrics::{charge, IoStats, SpanSink, TraceContext};
 use artsparse_tensor::par::{self, Parallelism};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// A [`StorageBackend`] decorator that reports per-operation timing and
-/// byte counts to a [`Recorder`].
+/// byte counts to a [`SpanSink`].
 ///
 /// Byte accounting rules:
 /// * reads (`get`, `get_prefix`, `get_range`) charge `requests`,
@@ -33,19 +33,13 @@ use std::time::Instant;
 /// * `size` and `exists` are metadata peeks and are not recorded.
 pub struct RecordingBackend<B> {
     inner: B,
-    recorder: Arc<dyn Recorder>,
-    enabled: bool,
+    sink: Option<Arc<SpanSink>>,
 }
 
 impl<B: StorageBackend> RecordingBackend<B> {
-    /// Wrap `inner`, reporting to `recorder`.
-    pub fn new(inner: B, recorder: Arc<dyn Recorder>) -> Self {
-        let enabled = recorder.enabled();
-        RecordingBackend {
-            inner,
-            recorder,
-            enabled,
-        }
+    /// Wrap `inner`, reporting to `sink` (`None` records nothing).
+    pub fn new(inner: B, sink: Option<Arc<SpanSink>>) -> Self {
+        RecordingBackend { inner, sink }
     }
 
     /// The wrapped device.
@@ -53,32 +47,21 @@ impl<B: StorageBackend> RecordingBackend<B> {
         &self.inner
     }
 
-    /// Unwrap, discarding the recorder.
+    /// Unwrap, discarding the sink.
     pub fn into_inner(self) -> B {
         self.inner
     }
 
-    /// Swap the recorder (used by `StorageEngine::with_recorder`).
-    pub fn set_recorder(&mut self, recorder: Arc<dyn Recorder>) {
-        self.enabled = recorder.enabled();
-        self.recorder = recorder;
-    }
-
     #[inline]
     fn op_start(&self) -> Option<Instant> {
-        if self.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        }
+        self.sink.as_ref().map(|_| Instant::now())
     }
 
     #[inline]
     fn op_end(&self, start: Option<Instant>, op: &'static str, bytes: u64) {
-        if let Some(start) = start {
+        if let (Some(start), Some(sink)) = (start, &self.sink) {
             let dur_ns = start.elapsed().as_nanos() as u64;
-            self.recorder
-                .record_backend_op(self.inner.kind_name(), op, dur_ns, bytes);
+            sink.record_backend_op(self.inner.kind_name(), op, dur_ns, bytes);
         }
     }
 
@@ -216,11 +199,15 @@ pub(crate) fn par_map_traced<R: Send>(
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
-    use artsparse_metrics::{NoopRecorder, Span, SpanKind, TelemetryRecorder};
+    use artsparse_metrics::{Span, SpanKind, DEFAULT_EVENT_CAPACITY};
+
+    fn telemetry() -> Arc<SpanSink> {
+        Arc::new(SpanSink::new(Some(DEFAULT_EVENT_CAPACITY), None))
+    }
 
     #[test]
-    fn disabled_recorder_records_nothing_and_delegates() {
-        let b = RecordingBackend::new(MemBackend::new(), Arc::new(NoopRecorder));
+    fn without_a_sink_records_nothing_and_delegates() {
+        let b = RecordingBackend::new(MemBackend::new(), None);
         b.put("a", &[1, 2, 3]).unwrap();
         assert_eq!(b.get("a").unwrap(), vec![1, 2, 3]);
         assert_eq!(b.kind_name(), "mem");
@@ -228,20 +215,19 @@ mod tests {
     }
 
     #[test]
-    fn enabled_recorder_times_ops_and_charges_open_span() {
-        let t = Arc::new(TelemetryRecorder::new());
-        let r: Arc<dyn Recorder> = t.clone();
-        let b = RecordingBackend::new(MemBackend::new(), r.clone());
+    fn a_sink_times_ops_and_charges_open_span() {
+        let t = telemetry();
+        let b = RecordingBackend::new(MemBackend::new(), Some(Arc::clone(&t)));
         {
-            let _s = Span::enter(&r, SpanKind::Write);
+            let _s = Span::enter(Some(&t), SpanKind::Write);
             b.put("a", &[0u8; 100]).unwrap();
         }
         {
-            let _s = Span::enter(&r, SpanKind::ReadFetch);
+            let _s = Span::enter(Some(&t), SpanKind::ReadFetch);
             assert_eq!(b.get_range("a", 10, 20).unwrap().len(), 20);
             assert_eq!(b.get("a").unwrap().len(), 100);
         }
-        let rep = t.report();
+        let rep = t.report().unwrap();
         let w = rep.span(SpanKind::Write).unwrap();
         assert_eq!(w.io.bytes_written, 100);
         assert_eq!(w.io.requests, 1);
@@ -256,14 +242,13 @@ mod tests {
 
     #[test]
     fn failed_reads_charge_request_but_no_bytes() {
-        let t = Arc::new(TelemetryRecorder::new());
-        let r: Arc<dyn Recorder> = t.clone();
-        let b = RecordingBackend::new(MemBackend::new(), r.clone());
+        let t = telemetry();
+        let b = RecordingBackend::new(MemBackend::new(), Some(Arc::clone(&t)));
         {
-            let _s = Span::enter(&r, SpanKind::ReadFetch);
+            let _s = Span::enter(Some(&t), SpanKind::ReadFetch);
             assert!(b.get("missing").is_err());
         }
-        let rep = t.report();
+        let rep = t.report().unwrap();
         let f = rep.span(SpanKind::ReadFetch).unwrap();
         assert_eq!(f.io.requests, 1);
         assert_eq!(f.io.bytes_fetched, 0);

@@ -38,7 +38,7 @@ use crate::backend::StorageBackend;
 use crate::config::SchedulerConfig;
 use crate::engine::StorageEngine;
 use crate::error::{Result, StorageError};
-use artsparse_metrics::{charge, Span, SpanKind};
+use artsparse_metrics::{charge, SpanKind};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -237,7 +237,7 @@ fn scheduler_pass<B: StorageBackend + Send + Sync>(
     last_consolidate: &mut Option<Instant>,
     min_gap: Duration,
 ) -> Result<()> {
-    let _span = Span::enter(engine.recorder(), SpanKind::SchedulerRun);
+    let _span = engine.span(SpanKind::SchedulerRun);
     shared.runs.fetch_add(1, Ordering::Relaxed);
     engine.note_scheduler_run();
     charge(|io| io.scheduler_runs += 1);

@@ -1,14 +1,14 @@
 //! End-to-end telemetry: the engine's span-attributed I/O accounting
-//! must agree byte-for-byte with the device's own counters, a disabled
-//! recorder must never be called, the report must agree with
+//! must agree byte-for-byte with the device's own counters, an engine
+//! with telemetry off must have no span sink, the report must agree with
 //! `StoreStats`/`CacheStats`, and the exported per-cell document must
 //! validate against the checked-in schema.
 
-use artsparse::metrics::{Recorder, SpanKind, SpanRecord};
-use artsparse::storage::{EngineConfig, MemBackend, SimulatedDisk, StorageEngine};
+use artsparse::metrics::SpanKind;
+use artsparse::storage::{
+    EngineConfig, MemBackend, ObservabilityConfig, SimulatedDisk, StorageEngine,
+};
 use artsparse::{CoordBuffer, FormatKind, Region, Shape};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// A fast simulated device: real byte accounting, negligible sleeps.
@@ -149,34 +149,17 @@ fn read_workers_share_the_trace_of_their_read() {
     assert!(workers >= 2 * (6 + 2), "{workers} worker spans");
 }
 
-/// Counts every recorder callback; reports itself disabled.
-#[derive(Default)]
-struct CountingDisabledRecorder {
-    spans: AtomicU64,
-    ops: AtomicU64,
-}
-
-impl Recorder for CountingDisabledRecorder {
-    fn record_span(&self, _record: &SpanRecord) {
-        self.spans.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record_backend_op(&self, _b: &'static str, _o: &'static str, _d: u64, _bytes: u64) {
-        self.ops.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
+/// With telemetry and the plane both off the engine has no span sink:
+/// nothing aggregates and no registry or journal exists.
 #[test]
 fn disabled_recorder_is_never_called() {
-    let counter = Arc::new(CountingDisabledRecorder::default());
     let engine = StorageEngine::open(
         MemBackend::new(),
         FormatKind::Linear,
         Shape::new(vec![32, 32]).unwrap(),
         8,
     )
-    .unwrap()
-    .with_recorder(counter.clone());
+    .unwrap();
 
     engine
         .write_points::<f64>(&pts(&[[1, 2], [3, 4]]), &[1.0, 2.0])
@@ -184,9 +167,47 @@ fn disabled_recorder_is_never_called() {
     engine.read_values::<f64>(&pts(&[[1, 2], [9, 9]])).unwrap();
     engine.consolidate().unwrap();
 
-    assert_eq!(counter.spans.load(Ordering::Relaxed), 0);
-    assert_eq!(counter.ops.load(Ordering::Relaxed), 0);
     assert!(engine.telemetry_report().is_none());
+    assert!(engine.observability().is_none());
+}
+
+/// With both switches on, one sink feeds the aggregated report and the
+/// live registry from the same spans, so their byte totals agree.
+#[test]
+fn report_and_registry_agree_with_both_switches_on() {
+    let engine = StorageEngine::open_with(
+        fast_disk(),
+        FormatKind::Coo,
+        Shape::new(vec![64, 64]).unwrap(),
+        8,
+        EngineConfig::default()
+            .with_telemetry(true)
+            .with_observability(ObservabilityConfig::default())
+            .with_threads(4),
+    )
+    .unwrap();
+    seed_fragments(&engine, 3);
+    engine
+        .ingest_points::<f64>(&pts(&[[10, 1], [10, 2]]), &[1.0, 2.0])
+        .unwrap();
+    engine.flush().unwrap();
+    engine
+        .read_region(&Region::from_corners(&[0, 0], &[10, 31]).unwrap())
+        .unwrap();
+
+    let totals = engine.telemetry_report().unwrap().totals;
+    let snapshot = engine.observability().unwrap().registry().snapshot();
+    let counter = |name: &str| snapshot.sample(name).unwrap().value as u64;
+    assert!(totals.bytes_fetched > 0 && totals.wal_bytes > 0);
+    assert_eq!(
+        counter("artsparse_bytes_fetched_total"),
+        totals.bytes_fetched
+    );
+    assert_eq!(
+        counter("artsparse_bytes_written_total"),
+        totals.bytes_written
+    );
+    assert_eq!(counter("artsparse_wal_bytes_total"), totals.wal_bytes);
 }
 
 #[test]
