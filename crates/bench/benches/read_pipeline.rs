@@ -82,7 +82,7 @@ fn pre_refactor_read(
     let mut names = disk.list().unwrap();
     // The store also holds commit-protocol blobs (epoch markers); the
     // old engine's discovery only ever peeked fragment names.
-    names.retain(|n| n.starts_with("frag-") && n.ends_with(".asf"));
+    names.retain(|n| artsparse_storage::is_fragment_name(n));
     names.sort();
     for name in &names {
         let header = disk.get_prefix(name, header_len).unwrap();

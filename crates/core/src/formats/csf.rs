@@ -45,10 +45,8 @@ pub struct CsfTree {
 
 impl CsfTree {
     /// Construct the tree from lexicographically sorted, dimension-permuted
-    /// points (Algorithm 2 lines 8–18). Crate-visible so the direct
-    /// conversion layer ([`crate::convert`]) can assemble a tree from an
-    /// already-sorted stream without re-sorting.
-    pub(crate) fn from_sorted(shape: &Shape, order: Vec<usize>, sorted: &CoordBuffer) -> CsfTree {
+    /// points (Algorithm 2 lines 8–18).
+    fn from_sorted(shape: &Shape, order: Vec<usize>, sorted: &CoordBuffer) -> CsfTree {
         let d = shape.ndim();
         let n = sorted.len();
         let mut fids: Vec<Vec<u64>> = vec![Vec::new(); d];
@@ -90,7 +88,7 @@ impl CsfTree {
     }
 
     /// Serialize (Algorithm 2 line 19: concatenate `nfibs + fids + fptr`).
-    pub(crate) fn encode(&self, n: u64) -> Vec<u8> {
+    fn encode(&self, n: u64) -> Vec<u8> {
         let mut enc = IndexEncoder::new(FormatKind::Csf.id(), &self.shape, n);
         enc.put_section(&self.order.iter().map(|&o| o as u64).collect::<Vec<_>>());
         enc.put_section(&self.nfibs);
@@ -219,8 +217,8 @@ fn binary_search_counted(seg: &[u64], target: u64) -> (Option<usize>, u64) {
 }
 
 /// Build CSF from points already lexicographically sorted in *original*
-/// dimension order — the direct-conversion entry used by
-/// [`crate::convert`].
+/// dimension order — the sort-free entry used by
+/// [`crate::convert::build_from_address_sorted`].
 ///
 /// Valid only when the local boundary's ascending-size dimension order is
 /// the identity, i.e. [`Csf::build`] would not permute dimensions and its

@@ -21,7 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct SortedCoo;
 
 /// Build sorted COO from points already in nondecreasing linear-address
-/// order — the direct-conversion entry used by [`crate::convert`]. The
+/// order — the sort-free entry used by
+/// [`crate::convert::build_from_address_sorted`]. The
 /// sort would be the identity, so it is skipped; byte-identical to
 /// [`SortedCoo::build`] (`map` omitted: it would be the identity).
 pub(crate) fn build_sorted_coo_presorted(

@@ -134,11 +134,9 @@ fn scrub(args: &[String]) -> Result<()> {
 /// Whether `dir` directly contains fragment blobs.
 fn dir_has_fragments(dir: &std::path::Path) -> bool {
     std::fs::read_dir(dir).is_ok_and(|entries| {
-        entries.filter_map(|e| e.ok()).any(|e| {
-            let name = e.file_name();
-            let name = name.to_string_lossy();
-            name.starts_with("frag-") && name.ends_with(".asf")
-        })
+        entries
+            .filter_map(|e| e.ok())
+            .any(|e| artsparse_storage::is_fragment_name(&e.file_name().to_string_lossy()))
     })
 }
 
@@ -155,7 +153,7 @@ fn open_store(
     let mut names: Vec<String> = backend
         .list()?
         .into_iter()
-        .filter(|n| n.starts_with("frag-") && n.ends_with(".asf"))
+        .filter(|n| artsparse_storage::is_fragment_name(n))
         .collect();
     names.sort();
     let mut meta: Option<artsparse_storage::fragment::FragmentMeta> = None;

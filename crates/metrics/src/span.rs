@@ -217,10 +217,11 @@ pub struct IoStats {
     /// consolidation's output organization (i.e. fragments migrated to a
     /// new format).
     pub fragments_migrated: u64,
-    /// Format re-encodings that took a direct (sort-elided or
-    /// sort-narrowed) conversion routine.
+    /// Consolidation re-encodes whose build skipped its sort: the
+    /// address-sorted merge output was already in the target's order.
     pub conversions_direct: u64,
-    /// Format re-encodings that fell back to decode-to-COO-and-rebuild.
+    /// Consolidation re-encodes that ran the target's full (sorting)
+    /// build.
     pub conversions_fallback: u64,
     /// Bytes written to the streaming-ingest write-ahead log.
     pub wal_bytes: u64,

@@ -19,6 +19,12 @@ use artsparse_storage::StorageError;
 /// Protocol version token exchanged in greetings and `HELLO`.
 pub const PROTOCOL_VERSION: &str = "artsparse/1";
 
+/// Longest request or data line the server accepts, in bytes before its
+/// newline. A peer that sends more without a newline gets `ERR TOOBIG`
+/// and its session closes, so no connection grows server memory without
+/// bound.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// One row of the command table: name, argument syntax, one-line summary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommandSpec {

@@ -14,7 +14,7 @@
 //! by `QUIT`, EOF, an I/O failure, or server drain.
 
 use crate::metrics::ServerMetrics;
-use crate::protocol::{self, ErrorCode, Request, PROTOCOL_VERSION};
+use crate::protocol::{self, ErrorCode, Request, MAX_LINE_BYTES, PROTOCOL_VERSION};
 use crate::quota::QuotaBook;
 use crate::shard::{shard_of, DatasetStats, ShardCmd, ShardReply};
 use artsparse_storage::HealthState;
@@ -61,35 +61,60 @@ pub struct SessionCtx {
 enum ReadOutcome {
     /// A complete line (trailing newline stripped).
     Line(String),
+    /// A complete line of this many bytes that is not UTF-8.
+    NotUtf8(usize),
     /// The peer closed its write side.
     Eof,
     /// The server is draining and the peer is idle.
     Stopped,
 }
 
-/// Read one line, tolerating read-timeout errors so the loop can poll
-/// the drain flag. Timed-out partial reads stay in `buf` and complete
-/// on a later pass.
+/// The error the line reader returns once a line outgrows
+/// [`MAX_LINE_BYTES`]; the session answers `ERR TOOBIG` and closes.
+#[derive(Debug)]
+struct LineTooLong;
+
+impl std::fmt::Display for LineTooLong {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "line exceeds the {MAX_LINE_BYTES}-byte cap")
+    }
+}
+
+impl std::error::Error for LineTooLong {}
+
+/// Read one line of at most [`MAX_LINE_BYTES`] bytes, tolerating
+/// read-timeout errors so the loop can poll the drain flag. Bytes read
+/// before a timeout stay in the buffer and the line completes on a later
+/// pass — even when the timeout split a multibyte character, because
+/// UTF-8 is decoded only once the whole line is in. A line past the cap
+/// fails with [`LineTooLong`].
 fn read_line_patient<R: BufRead>(reader: &mut R, stop: &AtomicBool) -> io::Result<ReadOutcome> {
-    let mut buf = String::new();
+    let mut buf = Vec::new();
     loop {
-        match reader.read_line(&mut buf) {
-            Ok(0) => {
-                let trimmed = buf.trim_end_matches(['\n', '\r']);
-                return Ok(if trimmed.is_empty() {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::Line(trimmed.to_string())
-                });
-            }
-            Ok(_) => {
-                if buf.ends_with('\n') {
-                    return Ok(ReadOutcome::Line(
-                        buf.trim_end_matches(['\n', '\r']).to_string(),
-                    ));
+        // Room for the cap plus the newline; one byte past it without a
+        // newline means the line is too long.
+        let room = (MAX_LINE_BYTES + 1 - buf.len()) as u64;
+        match io::Read::take(&mut *reader, room).read_until(b'\n', &mut buf) {
+            Ok(n) => {
+                let complete = buf.last() == Some(&b'\n');
+                if !complete && buf.len() > MAX_LINE_BYTES {
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, LineTooLong));
                 }
-                // No newline yet: only possible right before EOF or
-                // after a timeout left a partial line; keep reading.
+                if complete || n == 0 {
+                    // A whole line, or the peer's last bytes before EOF.
+                    while matches!(buf.last(), Some(b'\n' | b'\r')) {
+                        buf.pop();
+                    }
+                    if buf.is_empty() && !complete {
+                        return Ok(ReadOutcome::Eof);
+                    }
+                    let len = buf.len();
+                    return Ok(
+                        String::from_utf8(buf).map_or(ReadOutcome::NotUtf8(len), ReadOutcome::Line)
+                    );
+                }
+                // No newline yet: the stream ended mid-line, which the
+                // next pass sees as EOF.
             }
             Err(e)
                 if matches!(
@@ -158,9 +183,30 @@ struct Session {
 
 impl Session {
     fn serve<R: BufRead, W: Write>(&mut self, reader: &mut R, writer: &mut W) -> io::Result<()> {
+        match self.serve_lines(reader, writer) {
+            Err(e) if e.get_ref().is_some_and(|inner| inner.is::<LineTooLong>()) => {
+                // The rest of the stream cannot be framed: refuse, close.
+                let reason = format!("{e}; closing the session");
+                self.respond(writer, &[protocol::err_line(ErrorCode::TooBig, &reason)])
+            }
+            outcome => outcome,
+        }
+    }
+
+    fn serve_lines<R: BufRead, W: Write>(
+        &mut self,
+        reader: &mut R,
+        writer: &mut W,
+    ) -> io::Result<()> {
         loop {
             let line = match read_line_patient(reader, &self.ctx.stop)? {
                 ReadOutcome::Line(l) => l,
+                ReadOutcome::NotUtf8(len) => {
+                    self.ctx.metrics.bytes_in_total.add(len as u64 + 1);
+                    let reason = "request line is not valid UTF-8";
+                    self.respond(writer, &[protocol::err_line(ErrorCode::BadArg, reason)])?;
+                    continue;
+                }
                 ReadOutcome::Eof | ReadOutcome::Stopped => return Ok(()),
             };
             self.ctx.metrics.bytes_in_total.add(line.len() as u64 + 1);
@@ -407,6 +453,11 @@ impl Session {
         for i in 0..n {
             let line = match read_line_patient(reader, &self.ctx.stop)? {
                 ReadOutcome::Line(l) => l,
+                ReadOutcome::NotUtf8(len) => {
+                    self.ctx.metrics.bytes_in_total.add(len as u64 + 1);
+                    parse_error.get_or_insert(format!("data line {} is not valid UTF-8", i + 1));
+                    continue;
+                }
                 ReadOutcome::Eof | ReadOutcome::Stopped => {
                     return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
@@ -488,6 +539,9 @@ impl Session {
             match read_line_patient(reader, &self.ctx.stop)? {
                 ReadOutcome::Line(l) => {
                     self.ctx.metrics.bytes_in_total.add(l.len() as u64 + 1);
+                }
+                ReadOutcome::NotUtf8(len) => {
+                    self.ctx.metrics.bytes_in_total.add(len as u64 + 1);
                 }
                 ReadOutcome::Eof | ReadOutcome::Stopped => {
                     return Err(io::Error::new(
@@ -809,6 +863,11 @@ mod tests {
 
     /// Drive a scripted session over in-memory I/O against real shards.
     fn run_script(script: &str, default_quota: Quota) -> String {
+        run_reader(Cursor::new(script.as_bytes().to_vec()), default_quota)
+    }
+
+    /// Drive a session reading from `reader` against real shards.
+    fn run_reader<R: BufRead>(reader: R, default_quota: Quota) -> String {
         let mut shards = Vec::new();
         let mut handles = Vec::new();
         for id in 0..2 {
@@ -838,7 +897,7 @@ mod tests {
             session_id: 1,
         };
         let mut out: Vec<u8> = Vec::new();
-        run_session(ctx, Cursor::new(script.as_bytes().to_vec()), &mut out);
+        run_session(ctx, reader, &mut out);
         drop(shards);
         for h in handles {
             h.join().unwrap();
@@ -987,5 +1046,67 @@ mod tests {
             "exposition must carry server series: {body}"
         );
         assert_eq!(lines[2 + n], "OK bye");
+    }
+
+    #[test]
+    fn over_cap_line_is_refused_and_closes_the_session() {
+        let junk = "x".repeat(2 * MAX_LINE_BYTES);
+        // No newline at all: the reader stops at the cap, not at EOF.
+        let out = run_script(&format!("HELLO t\n{junk}"), Quota::unlimited());
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 3, "{out}");
+        assert!(lines[2].starts_with("ERR TOOBIG"), "{out}");
+        // A later newline does not revive the session.
+        let out = run_script(&format!("HELLO t\n{junk}\nPING\n"), Quota::unlimited());
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 3, "{out}");
+        assert!(lines[2].starts_with("ERR TOOBIG"), "{out}");
+    }
+
+    /// Yields scripted chunks and errors, then EOF.
+    struct Scripted(std::collections::VecDeque<io::Result<Vec<u8>>>);
+
+    impl io::Read for Scripted {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Err(e)) => Err(e),
+                Some(Ok(mut chunk)) => {
+                    let n = chunk.len().min(out.len());
+                    out[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        self.0.push_front(Ok(chunk.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn multibyte_character_split_by_a_timeout_reads_whole() {
+        let split = Scripted(
+            [
+                Ok(b"\xC3".to_vec()),
+                Err(io::ErrorKind::TimedOut.into()),
+                Ok(b"\xA9X\n".to_vec()),
+            ]
+            .into(),
+        );
+        let whole = Scripted([Ok("\u{e9}X\n".as_bytes().to_vec())].into());
+        let split_out = run_reader(io::BufReader::new(split), Quota::unlimited());
+        let whole_out = run_reader(io::BufReader::new(whole), Quota::unlimited());
+        assert_eq!(split_out, whole_out);
+        assert_eq!(whole_out.lines().count(), 2, "{whole_out}");
+        assert!(whole_out.contains("ERR BADCMD"), "{whole_out}");
+    }
+
+    #[test]
+    fn invalid_utf8_line_is_refused_and_the_session_continues() {
+        let bytes = b"\xFF\xFE\nPING\n".to_vec();
+        let out = run_reader(Cursor::new(bytes), Quota::unlimited());
+        let lines: Vec<&str> = out.lines().collect();
+        assert!(lines[1].starts_with("ERR BADARG"), "{out}");
+        assert_eq!(lines[2], "OK pong", "{out}");
     }
 }

@@ -3,7 +3,7 @@
 //! and the PROTOCOL.md ↔ implementation sync check.
 
 use artsparse_core::FormatKind;
-use artsparse_server::protocol::{ErrorCode, COMMANDS};
+use artsparse_server::protocol::{ErrorCode, COMMANDS, MAX_LINE_BYTES};
 use artsparse_server::quota::Quota;
 use artsparse_server::{BackendFactory, FsFactory, MemFactory, Server, ServerConfig};
 use artsparse_storage::{
@@ -449,7 +449,7 @@ fn shutdown_publishes_the_closing_journal_and_metrics() {
 /// implementation. This test pins them together: adding a command or an
 /// error code without documenting it fails CI, and vice versa the spec
 /// cannot describe commands that do not exist (names are checked
-/// exactly).
+/// exactly). The spec also states [`MAX_LINE_BYTES`] verbatim.
 #[test]
 fn protocol_md_documents_every_command_and_error_code() {
     let spec = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../PROTOCOL.md"))
@@ -477,5 +477,9 @@ fn protocol_md_documents_every_command_and_error_code() {
     assert!(
         spec.contains("artsparse/1"),
         "PROTOCOL.md must state the protocol version"
+    );
+    assert!(
+        spec.contains(&format!("**{MAX_LINE_BYTES} bytes**")),
+        "PROTOCOL.md must state the line length cap of {MAX_LINE_BYTES} bytes"
     );
 }

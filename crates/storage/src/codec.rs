@@ -123,7 +123,9 @@ fn rle_decompress(data: &[u8], raw_len: usize) -> Result<Vec<u8>> {
     if !data.len().is_multiple_of(2) {
         return Err(StorageError::corrupt("rle", "odd stream length"));
     }
-    let mut out = Vec::with_capacity(raw_len);
+    // A pair expands to at most 255 bytes: never reserve past what the
+    // stream can produce, whatever length the header declares.
+    let mut out = Vec::with_capacity(raw_len.min(data.len() / 2 * 255));
     for pair in data.chunks_exact(2) {
         let (count, byte) = (pair[0] as usize, pair[1]);
         if count == 0 {
@@ -196,8 +198,12 @@ fn delta_varint_compress(data: &[u8]) -> Vec<u8> {
 }
 
 fn delta_varint_decompress(data: &[u8], raw_len: usize) -> Result<Vec<u8>> {
-    let padded_len = raw_len.div_ceil(8) * 8;
-    let mut out = Vec::with_capacity(padded_len);
+    let padded_len = raw_len
+        .div_ceil(8)
+        .checked_mul(8)
+        .ok_or_else(|| StorageError::corrupt("varint", "raw length overflows"))?;
+    // Each input byte ends at most one varint, i.e. one 8-byte word.
+    let mut out = Vec::with_capacity(padded_len.min(data.len().saturating_mul(8)));
     let mut prev = 0i64;
     let mut pos = 0usize;
     while out.len() < padded_len {
@@ -288,6 +294,13 @@ mod tests {
         let mut ok = Codec::DeltaVarint.compress(&1u64.to_le_bytes());
         ok.push(0);
         assert!(Codec::DeltaVarint.decompress(&ok, 8).is_err());
+        // A declared length far past what the stream can produce fails
+        // typed instead of reserving it up front.
+        assert!(Codec::Rle.decompress(&[1, 5], usize::MAX).is_err());
+        assert!(Codec::DeltaVarint
+            .decompress(&[0], usize::MAX - 64)
+            .is_err());
+        assert!(Codec::DeltaVarint.decompress(&[0], usize::MAX).is_err());
         // Wrong raw_len surfaces as error, not truncation.
         let c = Codec::None.compress(&[1, 2, 3]);
         assert!(Codec::None.decompress(&c, 2).is_err());

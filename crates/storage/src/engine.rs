@@ -37,6 +37,11 @@ use crate::fragment::{
     decode_fragment, decode_index_section, decode_meta, decode_value_section, encode_fragment,
     verify_section_checksum, FragmentMeta,
 };
+use crate::names::{
+    epoch_marker_name, format_fragment_name, is_fragment_name, parse_epoch_marker,
+    parse_fragment_name, parse_tombstone_name, staged_name, tombstone_name, FragmentId,
+    STAGING_SUFFIX,
+};
 use crate::observe::{par_map_traced, RecordingBackend};
 use artsparse_core::advisor::recommend_from_stats;
 use artsparse_core::stats::SparsityStatsBuilder;
@@ -53,55 +58,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Prefix + suffix of fragment blob names.
-const FRAG_PREFIX: &str = "frag-";
-const FRAG_SUFFIX: &str = ".asf";
-
-/// Suffix of staged (not yet committed) blobs. Staged names never parse
-/// as fragment names, so `list`-based discovery, catalog reloads, and
-/// recovery all treat them as invisible until the rename-commit.
-const STAGING_SUFFIX: &str = ".tmp";
-
-/// Prefix + suffix of consolidation tombstones: a durable record of the
-/// delete set, written before the consolidated fragment commits so a
-/// crash mid-consolidation is replayed (sources deleted) or discarded
-/// (commit never happened) at the next open/refresh.
-const TOMB_PREFIX: &str = "tomb-";
-const TOMB_SUFFIX: &str = ".tsn";
-
-/// Prefix + suffix of epoch claim markers. Each engine claims a unique
-/// epoch at open with a create-exclusive put, and stamps it into every
-/// fragment name it writes — two engines over one directory can race but
-/// can never silently overwrite each other's fragments.
-const EPOCH_PREFIX: &str = "epoch-";
-const EPOCH_SUFFIX: &str = ".lck";
-
 /// How many times a read re-plans when a planned fragment vanished
 /// mid-flight (deleted or consolidated away by a concurrent writer)
 /// before settling for skipping the vanished fragments.
 const MAX_READ_REPLANS: usize = 3;
-
-/// Identity of a fragment, encoded in (and recovered from) its name.
-///
-/// Names are fixed-width decimal, so lexicographic blob-name order — the
-/// catalog's iteration order and therefore the engine's cross-fragment
-/// precedence — equals `(seq, epoch, cgen)` order:
-///
-/// * `seq` is the per-store write sequence;
-/// * `epoch` is the per-engine claim, disambiguating two engines that
-///   allocate the same `seq` concurrently;
-/// * `cgen` is the consolidation generation: a consolidated fragment
-///   keeps the *highest sequence number of its sources* (it contains no
-///   newer data than that), with `cgen` breaking the tie just above
-///   them. A fragment written while consolidation was running gets a
-///   higher `seq` and so keeps precedence over the consolidated output —
-///   the TileDB-style rule that makes consolidation safe to race.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct FragmentId {
-    seq: u64,
-    epoch: u64,
-    cgen: u32,
-}
 
 /// When range-fetching uncompressed value records, adjacent runs whose
 /// gap is at most this many bytes are fetched as one request — each
@@ -466,9 +426,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         let epoch = claim_epoch(&backend)?;
         // Count this engine's own claim among the live markers.
         recovery.epoch_markers += 1;
-        let catalog = FragmentCatalog::load(&backend, shape.ndim(), |name| {
-            parse_fragment_name(name).is_some()
-        })?;
+        let catalog = FragmentCatalog::load(&backend, shape.ndim(), is_fragment_name)?;
         drop(span);
 
         let mut max_seq = 0u64;
@@ -1043,9 +1001,7 @@ impl<B: StorageBackend> StorageEngine<B> {
         let recovery = recover_store(&self.backend, Some(&keep))?;
         *self.recovery.lock() = recovery;
         self.catalog
-            .reload(&self.backend, self.shape.ndim(), |name| {
-                parse_fragment_name(name).is_some()
-            })?;
+            .reload(&self.backend, self.shape.ndim(), is_fragment_name)?;
         drop(span);
         self.cache.clear();
         for name in self.catalog.names() {
@@ -2515,10 +2471,11 @@ impl<B: StorageBackend> StorageEngine<B> {
     /// sparsity during that same scan (no extra pass over the points),
     /// runs the advisor's cost model over the measured statistics, and
     /// encodes the output in the winning organization instead of the
-    /// engine's configured one — and a store already consolidated down to
-    /// a single fragment is *migrated* in place when the advisor (or the
-    /// policy's pin) disagrees with its current organization, converging
-    /// to a no-op once they agree.
+    /// engine's configured one. A store already consolidated down to a
+    /// single fragment takes the same path — merge, advise, write — when
+    /// the advisor (or the policy's pin) disagrees with its organization,
+    /// so the migration also drops duplicate coordinates (lowest slot
+    /// wins, as for reads); once they agree the pass is a no-op.
     ///
     /// The pass is transactional: one catalog snapshot drives both the
     /// merge and the delete set; the delete set is recorded in a tombstone
@@ -2543,20 +2500,27 @@ impl<B: StorageBackend> StorageEngine<B> {
         let snapshot_span = self.span(SpanKind::ConsolidateSnapshot);
         let snapshot = self.catalog.snapshot();
         let before_bytes: u64 = snapshot.iter().map(|e| e.size).sum();
-        if snapshot.len() <= 1 {
-            drop(snapshot_span);
-            if let (Some(ad), [entry]) = (self.config.adaptive_reorg.as_ref(), &snapshot[..]) {
-                if let Some(report) = self.migrate_single(entry, ad, before_bytes)? {
-                    return Ok(report);
-                }
-            }
-            return Ok(ConsolidateReport {
-                merged_fragments: snapshot.len(),
-                n_points: 0,
-                before_bytes,
-                after_bytes: before_bytes,
-                fragment: None,
-            });
+        let unchanged = ConsolidateReport {
+            merged_fragments: snapshot.len(),
+            n_points: 0,
+            before_bytes,
+            after_bytes: before_bytes,
+            fragment: None,
+        };
+        // A lone fragment is already consolidated: only an adaptive pass
+        // can re-encode it, and not when the pin names its organization.
+        let single = match &snapshot[..] {
+            [entry] => Some(entry.meta.kind),
+            _ => None,
+        };
+        let settled = |kind| {
+            self.config
+                .adaptive_reorg
+                .as_ref()
+                .is_none_or(|ad| ad.pin == Some(kind))
+        };
+        if snapshot.is_empty() || single.is_some_and(settled) {
+            return Ok(unchanged);
         }
         let sources: Vec<String> = snapshot.iter().map(|e| e.name.clone()).collect();
         let mut id = FragmentId {
@@ -2611,9 +2575,13 @@ impl<B: StorageBackend> StorageEngine<B> {
             }
             _ => self.kind,
         };
+        if single == Some(target) {
+            // The advisor agrees with the lone fragment: converged.
+            return Ok(unchanged);
+        }
 
         // The merged scan is in linear-address order, so the re-encode
-        // goes through the direct-conversion builders (sorts elided).
+        // builds presorted (sorts elided where the target allows).
         let convert_span = self
             .config
             .adaptive_reorg
@@ -2648,135 +2616,6 @@ impl<B: StorageBackend> StorageEngine<B> {
         })
     }
 
-    /// Adaptive re-organization of a store already consolidated down to
-    /// one fragment: characterize it, ask the advisor (or honor the
-    /// policy's pin), and when the verdict differs from the fragment's
-    /// current organization, re-encode it through the direct conversion
-    /// layer — under the same staged, tombstone-protected commit protocol
-    /// as a full consolidation, so a crash in any window leaves the store
-    /// readable in the old organization. Returns `None` when the fragment
-    /// already has the advised organization: repeated passes converge to
-    /// a no-op.
-    fn migrate_single(
-        &self,
-        entry: &CatalogEntry,
-        ad: &crate::config::AdaptiveReorg,
-        before_bytes: u64,
-    ) -> Result<Option<ConsolidateReport>> {
-        self.check_entry_shape(entry)?;
-        if entry.meta.elem_size != self.elem_size {
-            return Err(StorageError::Mismatch {
-                reason: format!(
-                    "fragment {} stores {}-byte records, engine {}",
-                    entry.name, entry.meta.elem_size, self.elem_size
-                ),
-            });
-        }
-        let decoded = self.fetch_decoded(entry)?;
-
-        let advise_span = self.span(SpanKind::ConsolidateAdvise);
-        let target = match ad.pin {
-            Some(pin) => pin,
-            None => {
-                let coords = decoded
-                    .meta
-                    .kind
-                    .create()
-                    .enumerate(&decoded.index, &self.counter)?;
-                let mut builder = SparsityStatsBuilder::new(self.shape.clone());
-                for p in coords.iter() {
-                    builder.push(p);
-                }
-                recommend_from_stats(
-                    &builder.finish(),
-                    &ad.profile.access_profile(),
-                    &ad.candidates,
-                )
-                .best()
-            }
-        };
-        drop(advise_span);
-        if target == decoded.meta.kind {
-            return Ok(None);
-        }
-
-        let sid = parse_fragment_name(&entry.name)
-            .ok_or_else(|| StorageError::corrupt(&entry.name, "cataloged name does not parse"))?;
-        // Same identity rule as a full pass: keep the source's sequence
-        // number (the data is no newer than that), bump the
-        // consolidation generation to outrank it.
-        let id = FragmentId {
-            seq: sid.seq,
-            epoch: self.epoch,
-            cgen: sid.cgen + 1,
-        };
-        let name = format_fragment_name(id);
-
-        let convert_span = self.span(SpanKind::ConsolidateConvert);
-        let conv = self.observed_parallel(|| {
-            convert::convert(
-                decoded.meta.kind,
-                &decoded.index,
-                target,
-                &self.shape,
-                &self.counter,
-            )
-        })?;
-        let values = match &conv.map {
-            Some(map) => artsparse_tensor::permute::scatter_bytes(
-                &decoded.values,
-                self.elem_size as usize,
-                map,
-            ),
-            None => decoded.values.clone(),
-        };
-        charge(|io| {
-            io.fragments_migrated += 1;
-            if conv.direct {
-                io.conversions_direct += 1;
-            } else {
-                io.conversions_fallback += 1;
-            }
-        });
-        let frag = encode_fragment(
-            target,
-            &self.shape,
-            conv.n_points as u64,
-            self.elem_size,
-            decoded.meta.bbox.as_ref(),
-            &conv.index,
-            &values,
-            self.index_codec,
-            self.value_codec,
-        );
-        drop(convert_span);
-
-        let tombstone = format!("{}\n", entry.name);
-        self.commit_fragment(&name, &frag, Some(&tombstone), true)?;
-        let meta = decode_meta(&name, &frag)?;
-        self.catalog.insert(CatalogEntry {
-            name: name.clone(),
-            meta,
-            size: frag.len() as u64,
-        });
-
-        let _sweep = self.span(SpanKind::ConsolidateSweep);
-        self.catalog.remove(&entry.name);
-        self.cache.invalidate(&entry.name);
-        match self.with_write_retries(&entry.name, || self.backend.delete(&entry.name)) {
-            Err(e) if !e.is_not_found() => return Err(e),
-            _ => {}
-        }
-        let _ = self.backend.delete(&tombstone_name(&name));
-        Ok(Some(ConsolidateReport {
-            merged_fragments: 1,
-            n_points: conv.n_points,
-            before_bytes,
-            after_bytes: self.catalog.total_bytes(),
-            fragment: Some(name),
-        }))
-    }
-
     /// Enumerate every stored point across all fragments (post-dedup), in
     /// linear-address order, with its value record. Runs over the same
     /// scan layer as [`StorageEngine::consolidate`].
@@ -2805,81 +2644,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
-}
-
-fn format_fragment_name(id: FragmentId) -> String {
-    let FragmentId { seq, epoch, cgen } = id;
-    if cgen == 0 {
-        format!("{FRAG_PREFIX}{seq:08}-{epoch:08}{FRAG_SUFFIX}")
-    } else {
-        format!("{FRAG_PREFIX}{seq:08}-{epoch:08}c{cgen:06}{FRAG_SUFFIX}")
-    }
-}
-
-/// Strict fixed-base decimal (rejects signs/whitespace that `parse`
-/// would accept, keeping name parsing a bijection with formatting).
-fn parse_decimal(s: &str) -> Option<u64> {
-    if s.is_empty() || !s.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    s.parse().ok()
-}
-
-fn parse_fragment_name(name: &str) -> Option<FragmentId> {
-    let body = name.strip_prefix(FRAG_PREFIX)?.strip_suffix(FRAG_SUFFIX)?;
-    let Some((seq, rest)) = body.split_once('-') else {
-        // Legacy pre-epoch name `frag-NNNNNNNN.asf`.
-        return Some(FragmentId {
-            seq: parse_decimal(body)?,
-            epoch: 0,
-            cgen: 0,
-        });
-    };
-    let seq = parse_decimal(seq)?;
-    match rest.split_once('c') {
-        None => Some(FragmentId {
-            seq,
-            epoch: parse_decimal(rest)?,
-            cgen: 0,
-        }),
-        Some((epoch, cgen)) => {
-            let cgen = parse_decimal(cgen)?;
-            // `c000000` would alias the plain name; reject it.
-            if cgen == 0 || cgen > u32::MAX as u64 {
-                return None;
-            }
-            Some(FragmentId {
-                seq,
-                epoch: parse_decimal(epoch)?,
-                cgen: cgen as u32,
-            })
-        }
-    }
-}
-
-fn staged_name(name: &str) -> String {
-    format!("{name}{STAGING_SUFFIX}")
-}
-
-fn tombstone_name(target: &str) -> String {
-    format!("{TOMB_PREFIX}{target}{TOMB_SUFFIX}")
-}
-
-/// The fragment a tombstone protects, if the blob name is a tombstone.
-fn parse_tombstone_name(name: &str) -> Option<&str> {
-    let target = name.strip_prefix(TOMB_PREFIX)?.strip_suffix(TOMB_SUFFIX)?;
-    parse_fragment_name(target).map(|_| target)
-}
-
-fn epoch_marker_name(epoch: u64) -> String {
-    format!("{EPOCH_PREFIX}{epoch:08}{EPOCH_SUFFIX}")
-}
-
-fn parse_epoch_marker(name: &str) -> Option<u64> {
-    parse_decimal(
-        name.strip_prefix(EPOCH_PREFIX)?
-            .strip_suffix(EPOCH_SUFFIX)?,
-    )
 }
 
 /// Claim a fresh epoch: start past every epoch already visible (markers
@@ -3567,103 +3331,6 @@ mod tests {
         assert!(s.total_bytes > 0);
         assert!(s.index_bytes <= s.index_raw_bytes + s.index_bytes);
         assert_eq!(s.total_bytes, e2.total_stored_bytes().unwrap());
-    }
-
-    #[test]
-    fn fragment_names_roundtrip() {
-        for id in [
-            FragmentId {
-                seq: 42,
-                epoch: 7,
-                cgen: 0,
-            },
-            FragmentId {
-                seq: 42,
-                epoch: 7,
-                cgen: 3,
-            },
-            FragmentId {
-                seq: u64::MAX,
-                epoch: u64::MAX,
-                cgen: u32::MAX,
-            },
-        ] {
-            let n = format_fragment_name(id);
-            assert_eq!(parse_fragment_name(&n), Some(id), "{n}");
-        }
-        // Legacy pre-epoch names still parse (epoch 0, plain).
-        assert_eq!(
-            parse_fragment_name("frag-00000042.asf"),
-            Some(FragmentId {
-                seq: 42,
-                epoch: 0,
-                cgen: 0
-            })
-        );
-        for bad in [
-            "other.bin",
-            "frag-xx.asf",
-            "frag-00000001-xx.asf",
-            "frag-00000001-00000001c000000.asf", // cgen 0 aliases the plain name
-            "frag-00000001-00000001cxx.asf",
-            "frag--1.asf",
-            "frag-+1.asf",
-            "frag-00000001-00000001.asf.tmp", // staged: invisible
-            "tomb-frag-00000001-00000001.asf.tsn",
-            "epoch-00000001.lck",
-        ] {
-            assert_eq!(parse_fragment_name(bad), None, "{bad}");
-        }
-    }
-
-    #[test]
-    fn name_order_is_precedence_order() {
-        // Lexicographic blob-name order must equal (seq, epoch, cgen)
-        // order — it is what the catalog sorts by and what cross-fragment
-        // last-writer-wins precedence runs on.
-        let ids = [
-            FragmentId {
-                seq: 1,
-                epoch: 2,
-                cgen: 0,
-            },
-            FragmentId {
-                seq: 1,
-                epoch: 2,
-                cgen: 1,
-            },
-            FragmentId {
-                seq: 1,
-                epoch: 3,
-                cgen: 0,
-            },
-            FragmentId {
-                seq: 2,
-                epoch: 1,
-                cgen: 0,
-            },
-            FragmentId {
-                seq: 100,
-                epoch: 1,
-                cgen: 0,
-            },
-        ];
-        let names: Vec<String> = ids.iter().map(|&id| format_fragment_name(id)).collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted);
-    }
-
-    #[test]
-    fn auxiliary_names_roundtrip() {
-        let frag = "frag-00000003-00000001.asf";
-        assert_eq!(staged_name(frag), "frag-00000003-00000001.asf.tmp");
-        let tomb = tombstone_name(frag);
-        assert_eq!(parse_tombstone_name(&tomb), Some(frag));
-        assert_eq!(parse_tombstone_name("tomb-junk.tsn"), None);
-        assert_eq!(parse_tombstone_name(frag), None);
-        assert_eq!(parse_epoch_marker(&epoch_marker_name(9)), Some(9));
-        assert_eq!(parse_epoch_marker(frag), None);
     }
 
     #[test]

@@ -27,6 +27,9 @@
 //!   faults, latency, and bit-flip corruption) under test;
 //! * [`integrity`] — the CRC32C checksum primitive behind fragment
 //!   section verification and scrubbing;
+//! * [`names`] — the blob name grammar (fragments, staged blobs,
+//!   tombstones, epoch markers) and the one [`is_fragment_name`]
+//!   predicate that decides which blobs are fragments;
 //! * [`observe`] — a recording backend wrapper that feeds the
 //!   `artsparse-metrics` telemetry subsystem with per-operation timings
 //!   and per-span byte accounting;
@@ -57,6 +60,7 @@ pub mod exporter;
 pub mod faults;
 pub mod fragment;
 pub mod integrity;
+pub mod names;
 pub mod observe;
 pub mod scheduler;
 pub mod striped;
@@ -82,6 +86,7 @@ pub use exporter::{
 pub use faults::{injected_fault, FailingBackend, InjectedFault};
 pub use fragment::FragmentChecksums;
 pub use integrity::{crc32c, Crc32c};
+pub use names::is_fragment_name;
 pub use observe::RecordingBackend;
 pub use scheduler::{IngestScheduler, SchedulerStats};
 pub use striped::StripedBackend;
